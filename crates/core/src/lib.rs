@@ -530,12 +530,20 @@ impl Synthesizer {
             }
         }
         // Static analysis of the final netlist: structural lints plus the
-        // cell-level timing walk, in the binding/schedule context. Deny-level
-        // findings fail the run.
+        // cell-level timing, in the binding/schedule context. Deny-level
+        // findings fail the run. The timing is the timed-rewrite loop's
+        // final summary, which always describes the returned netlist (a
+        // reverted round restores the netlist that summary was taken of),
+        // so the netlist is analyzed once, not twice.
         let lint_ctx = LintContext::new(&self.library, clock)
             .with_binding(&binding)
             .with_schedule(&schedule.desc);
-        let mut lint = hls_lint::analyze(&netlist, &lint_ctx, &self.lint_config);
+        let mut lint = hls_lint::analyze_with_timing(
+            &netlist,
+            &lint_ctx,
+            &self.lint_config,
+            timed_rewrites.after.clone(),
+        );
         if timed_rewrites.hit_round_limit {
             // Surface the backstop as a finding: the timed-rewrite search
             // was cut off by its round budget, not by convergence, so the

@@ -53,7 +53,8 @@ pub mod timed;
 pub use config::{Lint, LintConfig, Severity};
 pub use diag::{Diagnostic, LintReport};
 pub use sta::{
-    analyze_timing, critical_cells, endpoint_slacks, PathStep, TimingEndpoint, TimingSummary,
+    analyze_timing, analyze_timing_reference, critical_cells, PathStep, TimingEndpoint,
+    TimingSummary,
 };
 pub use timed::{optimize_timed, optimize_timed_with, TimedRewriteReport, MAX_ROUNDS};
 
@@ -61,6 +62,7 @@ use hls_bind::BoundDesign;
 use hls_netlist::{ChainTiming, ScheduleDesc};
 use hls_nir::{validate, CellId, NirModule};
 use hls_tech::{ClockConstraint, TechLibrary};
+use sta::{analyze_timing_in, CombGraph};
 
 /// The synthesis context a netlist is analyzed in: the technology library
 /// and clock the timing runs against, plus (optionally) the binding and
@@ -108,6 +110,31 @@ impl<'a> LintContext<'a> {
 /// deny-level [`Lint::MalformedNetlist`] finding and no timing summary
 /// (the delay walk assumes acyclic, width-consistent structure).
 pub fn analyze(m: &NirModule, ctx: &LintContext, cfg: &LintConfig) -> LintReport {
+    analyze_inner(m, ctx, cfg, None)
+}
+
+/// [`analyze`] for a netlist whose timing is already known: `timing` must
+/// be [`analyze_timing`]'s summary of `m` under `ctx`'s library and clock,
+/// such as [`TimedRewriteReport::after`] for the netlist
+/// [`optimize_timed`] returned. The structural lints run as in
+/// [`analyze`]; the setup-violation findings and the report's timing come
+/// from `timing` instead of a second analysis of the same netlist.
+pub fn analyze_with_timing(
+    m: &NirModule,
+    ctx: &LintContext,
+    cfg: &LintConfig,
+    timing: TimingSummary,
+) -> LintReport {
+    debug_assert_eq!(timing.clock_ps, ctx.clock.period_ps());
+    analyze_inner(m, ctx, cfg, Some(timing))
+}
+
+fn analyze_inner(
+    m: &NirModule,
+    ctx: &LintContext,
+    cfg: &LintConfig,
+    timing: Option<TimingSummary>,
+) -> LintReport {
     let mut report = LintReport {
         module: m.name.clone(),
         clock_ps: ctx.clock.period_ps(),
@@ -155,12 +182,15 @@ pub fn analyze(m: &NirModule, ctx: &LintContext, cfg: &LintConfig) -> LintReport
         }
     }
 
-    for (lint, cell, message) in structural::structural_findings(m, ctx, cfg) {
+    // One topological order and fan-in for the structural lints and STA.
+    let graph = CombGraph::new(m);
+    for (lint, cell, message) in structural::structural_findings(m, &graph.fanin, ctx, cfg) {
         push(&mut report, lint, cell, message);
     }
 
-    let mut timing = ChainTiming::new(ctx.library, ctx.clock);
-    let summary = analyze_timing(m, &mut timing);
+    let summary = timing.unwrap_or_else(|| {
+        analyze_timing_in(m, &graph, &mut ChainTiming::new(ctx.library, ctx.clock))
+    });
     for ep in &summary.endpoints {
         if ep.slack_ps < 0.0 {
             push(

@@ -34,6 +34,27 @@
 //! false in that state, and reports each endpoint's worst arrival over all
 //! states. Selects that stay unknown — stage-valid bits, data-dependent
 //! predicates — keep both arms, which is the conservative direction.
+//!
+//! ## Each later state is evaluated incrementally
+//!
+//! The per-state semantics above are what [`analyze_timing_reference`]
+//! computes literally: a full known-value walk and a full arrival walk per
+//! state, O(states × cells). [`analyze_timing`] computes the same summary,
+//! bit for bit, from one full walk for state 0 and an event-driven update
+//! per later state. Everything state-invariant — topological order, mux
+//! fan-in, every cell's delay, the fan-out lists, the endpoint list — is
+//! computed once. Moving from state `k − 1` to `k` re-seeds only the state
+//! counter; changed known values propagate through a worklist ordered by
+//! topological rank, arrivals are re-evaluated only at muxes whose select
+//! changed and downstream of a changed arrival, and only endpoints whose
+//! data arrival or enable changed are re-checked. An endpoint that no event
+//! reaches has the same arrival as in an earlier state, which cannot beat
+//! its recorded worst. In a lowered netlist one step flips just the
+//! `fsm == k − 1` and `fsm == k` decodes, so a later state costs the size
+//! of those cones, not the size of the netlist.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use hls_ir::CmpKind;
 use hls_netlist::ChainTiming;
@@ -119,13 +140,39 @@ pub(crate) fn cell_name(m: &NirModule, id: CellId) -> String {
     m.cell(id).name.clone().unwrap_or_else(|| format!("{id}"))
 }
 
-/// Steering-tree leaf fan-in per cell: 1 for non-mux cells; for a mux, the
-/// number of data leaves of the 2-way-mux subtree rooted at it (an arm that
-/// is itself a mux contributes its own fan-in, any other arm is one leaf).
+/// The state-invariant shape of a validated netlist that both the
+/// structural lints and the timing analysis walk: the combinational
+/// topological order and each cell's steering-tree leaf fan-in. Built once
+/// per netlist and shared.
+pub(crate) struct CombGraph {
+    /// [`NirModule::comb_topo_order`]: every combinational cell after its
+    /// operands.
+    pub(crate) order: Vec<CellId>,
+    /// Steering-tree leaf fan-in per cell: 1 for non-mux cells; for a mux,
+    /// the number of data leaves of the 2-way-mux subtree rooted at it (an
+    /// arm that is itself a mux contributes its own fan-in, any other arm
+    /// is one leaf).
+    pub(crate) fanin: Vec<usize>,
+}
+
+impl CombGraph {
+    pub(crate) fn new(m: &NirModule) -> Self {
+        let order = m.comb_topo_order();
+        let fanin = mux_fanins_in(m, &order);
+        CombGraph { order, fanin }
+    }
+}
+
+/// [`CombGraph::fanin`] of a module, computed over its own topological
+/// order.
 pub(crate) fn mux_fanins(m: &NirModule) -> Vec<usize> {
+    mux_fanins_in(m, &m.comb_topo_order())
+}
+
+fn mux_fanins_in(m: &NirModule, order: &[CellId]) -> Vec<usize> {
     let mut fanin = vec![1usize; m.num_cells()];
     // Arena order is not topological, so walk the validated topo order.
-    for id in m.comb_topo_order() {
+    for &id in order {
         let cell = m.cell(id);
         if let CellKind::Mux { .. } = cell.kind {
             let arm = |x: CellId| match m.cell(x).kind {
@@ -151,76 +198,90 @@ pub(crate) fn mux_fanins(m: &NirModule) -> Vec<usize> {
 /// rebalanced tree would pick up spurious `comb-fanin`/`dead-mux-arm`
 /// findings the pre-rewrite netlist did not have.
 pub(crate) fn known_values(m: &NirModule, fsm_state: Option<u64>) -> Vec<Option<u64>> {
-    let mask = |v: u64, w: u16| {
-        if w >= 64 {
-            v
-        } else {
-            v & ((1u64 << w) - 1)
-        }
-    };
-    // Values are stored masked at their cell's width; re-widening reads
-    // them back signed, matching the evaluator's two's-complement model.
-    let sext = |v: u64, from: u16| -> u64 {
-        if from == 0 || from >= 64 {
-            return v;
-        }
-        if v & (1u64 << (from - 1)) != 0 {
-            v | !((1u64 << from) - 1)
-        } else {
-            v
-        }
-    };
     let mut known: Vec<Option<u64>> = vec![None; m.num_cells()];
     for id in m.comb_topo_order() {
-        let cell = m.cell(id);
-        let w = cell.width;
-        let input = |k: usize| known[cell.inputs[k].index()];
-        let input_width = |k: usize| m.cell(cell.inputs[k]).width;
-        known[id.index()] = match &cell.kind {
-            CellKind::Const(v) => Some(mask(*v as u64, w)),
-            CellKind::FsmState => fsm_state.map(|s| mask(s, w)),
-            // Timing is analyzed at steady-state occupancy: every pipeline
-            // stage valid, so steering is governed by the folded state
-            // alone. Paths that appear only under partial occupancy carry
-            // don't-care values (the consumer's capture is stage-gated).
-            CellKind::StageValid { .. } => Some(1),
-            CellKind::Bin(BinKind::And) => match (input(0), input(1)) {
-                (Some(0), _) | (_, Some(0)) => Some(0),
-                (Some(a), Some(b)) => Some(a & b),
-                _ => None,
-            },
-            CellKind::Bin(BinKind::Or) => match (input(0), input(1)) {
-                (Some(a), _) if a == mask(u64::MAX, w) => Some(a),
-                (_, Some(b)) if b == mask(u64::MAX, w) => Some(b),
-                (Some(a), Some(b)) => Some(a | b),
-                _ => None,
-            },
-            CellKind::Bin(BinKind::Xor) => match (input(0), input(1)) {
-                (Some(a), Some(b)) => Some(a ^ b),
-                _ => None,
-            },
-            CellKind::Bin(BinKind::Cmp(CmpKind::Eq)) => match (input(0), input(1)) {
-                (Some(a), Some(b)) => Some(u64::from(a == b)),
-                _ => None,
-            },
-            CellKind::Bin(BinKind::Cmp(CmpKind::Ne)) => match (input(0), input(1)) {
-                (Some(a), Some(b)) => Some(u64::from(a != b)),
-                _ => None,
-            },
-            CellKind::Un(UnKind::Not) => input(0).map(|a| mask(!a, w)),
-            CellKind::Mux { .. } => match input(0) {
-                Some(sel) => input(if sel != 0 { 1 } else { 2 }),
-                None => None,
-            },
-            CellKind::Resize => input(0).map(|a| mask(sext(a, input_width(0)), w)),
-            CellKind::Slice { lo, .. } => input(0).map(|a| {
-                let wide = sext(a, input_width(0)) as i64;
-                mask((wide >> (*lo).min(63)) as u64, w)
-            }),
-            _ => None,
-        };
+        known[id.index()] = known_value(m, id, &known, fsm_state);
     }
     known
+}
+
+/// Masks `v` to its low `w` bits.
+fn mask(v: u64, w: u16) -> u64 {
+    if w >= 64 {
+        v
+    } else {
+        v & ((1u64 << w) - 1)
+    }
+}
+
+/// Values are stored masked at their cell's width; re-widening reads them
+/// back signed, matching the evaluator's two's-complement model.
+fn sext(v: u64, from: u16) -> u64 {
+    if from == 0 || from >= 64 {
+        return v;
+    }
+    if v & (1u64 << (from - 1)) != 0 {
+        v | !((1u64 << from) - 1)
+    } else {
+        v
+    }
+}
+
+/// One cell of [`known_values`]: its statically-known value from its
+/// operands' entries in `known`.
+fn known_value(
+    m: &NirModule,
+    id: CellId,
+    known: &[Option<u64>],
+    fsm_state: Option<u64>,
+) -> Option<u64> {
+    let cell = m.cell(id);
+    let w = cell.width;
+    let input = |k: usize| known[cell.inputs[k].index()];
+    let input_width = |k: usize| m.cell(cell.inputs[k]).width;
+    match &cell.kind {
+        CellKind::Const(v) => Some(mask(*v as u64, w)),
+        CellKind::FsmState => fsm_state.map(|s| mask(s, w)),
+        // Timing is analyzed at steady-state occupancy: every pipeline
+        // stage valid, so steering is governed by the folded state alone.
+        // Paths that appear only under partial occupancy carry don't-care
+        // values (the consumer's capture is stage-gated).
+        CellKind::StageValid { .. } => Some(1),
+        CellKind::Bin(BinKind::And) => match (input(0), input(1)) {
+            (Some(0), _) | (_, Some(0)) => Some(0),
+            (Some(a), Some(b)) => Some(a & b),
+            _ => None,
+        },
+        CellKind::Bin(BinKind::Or) => match (input(0), input(1)) {
+            (Some(a), _) if a == mask(u64::MAX, w) => Some(a),
+            (_, Some(b)) if b == mask(u64::MAX, w) => Some(b),
+            (Some(a), Some(b)) => Some(a | b),
+            _ => None,
+        },
+        CellKind::Bin(BinKind::Xor) => match (input(0), input(1)) {
+            (Some(a), Some(b)) => Some(a ^ b),
+            _ => None,
+        },
+        CellKind::Bin(BinKind::Cmp(CmpKind::Eq)) => match (input(0), input(1)) {
+            (Some(a), Some(b)) => Some(u64::from(a == b)),
+            _ => None,
+        },
+        CellKind::Bin(BinKind::Cmp(CmpKind::Ne)) => match (input(0), input(1)) {
+            (Some(a), Some(b)) => Some(u64::from(a != b)),
+            _ => None,
+        },
+        CellKind::Un(UnKind::Not) => input(0).map(|a| mask(!a, w)),
+        CellKind::Mux { .. } => match input(0) {
+            Some(sel) => input(if sel != 0 { 1 } else { 2 }),
+            None => None,
+        },
+        CellKind::Resize => input(0).map(|a| mask(sext(a, input_width(0)), w)),
+        CellKind::Slice { lo, .. } => input(0).map(|a| {
+            let wide = sext(a, input_width(0)) as i64;
+            mask((wide >> (*lo).min(63)) as u64, w)
+        }),
+        _ => None,
+    }
 }
 
 /// Comb cells on a failing cone: every combinational cell reachable
@@ -252,20 +313,6 @@ pub fn critical_cells(m: &NirModule, summary: &TimingSummary) -> Vec<bool> {
         stack.extend(cell.inputs.iter().copied());
     }
     mask
-}
-
-/// Per-endpoint slack, indexed by cell: `Some(slack_ps)` for every register
-/// and output-port cell, `None` elsewhere. A reusable query form of
-/// [`analyze_timing`]'s report for callers that want to interrogate
-/// specific cells (rewrite gating, binding heuristics) instead of reading
-/// the sorted endpoint list.
-pub fn endpoint_slacks(m: &NirModule, timing: &mut ChainTiming) -> Vec<Option<f64>> {
-    let summary = analyze_timing(m, timing);
-    let mut slacks = vec![None; m.num_cells()];
-    for ep in &summary.endpoints {
-        slacks[ep.cell.index()] = Some(ep.slack_ps);
-    }
-    slacks
 }
 
 /// One state's arrival-time pass: per cell, the arrival at its output
@@ -409,25 +456,64 @@ fn endpoint_active(m: &NirModule, known: &[Option<u64>], id: CellId) -> bool {
     }
 }
 
-/// Runs the analysis. The module must be [`hls_nir::validate`]-clean;
-/// combinational cycles would silently truncate the topological order.
-pub fn analyze_timing(m: &NirModule, timing: &mut ChainTiming) -> TimingSummary {
-    let n = m.num_cells();
-    let fanin = mux_fanins(m);
-    let setup = timing.setup_ps();
-    let clock = timing.clock();
-
-    // One pass per folded state; a netlist without a folded controller
-    // (pipelined II=1 or fully combinational) gets a single free pass.
-    let states: Vec<Option<u64>> = if m.fold_states > 1 {
+/// The analyzed states: one per folded state, or a single free pass for a
+/// netlist without a folded controller (pipelined II=1 or fully
+/// combinational).
+fn analyzed_states(m: &NirModule) -> Vec<Option<u64>> {
+    if m.fold_states > 1 {
         (0..m.fold_states).map(|k| Some(u64::from(k))).collect()
     } else {
         vec![None]
-    };
+    }
+}
 
-    // Per endpoint cell: the worst (arrival, state index) over all states
-    // in which the endpoint's enable can be true.
-    let mut worst: Vec<Option<(f64, usize)>> = vec![None; n];
+/// Per endpoint cell: the worst (arrival, state index) over all states in
+/// which the endpoint's enable can be true. `None` for non-endpoints and
+/// for endpoints inactive in every state.
+type WorstArrivals = Vec<Option<(f64, usize)>>;
+
+/// Folds one state's endpoint arrival into the running worst. States are
+/// visited in index order and only a strictly worse arrival replaces the
+/// record, so the recorded state is the first to reach the worst arrival.
+fn record_worst(worst: &mut Option<(f64, usize)>, arrival: f64, si: usize) {
+    if worst.map(|(a, _)| arrival > a).unwrap_or(true) {
+        *worst = Some((arrival, si));
+    }
+}
+
+/// Runs the analysis. The module must be [`hls_nir::validate`]-clean;
+/// combinational cycles would silently truncate the topological order.
+///
+/// Equal, bit for bit, to [`analyze_timing_reference`]; see the module
+/// docs for how later states are evaluated incrementally.
+pub fn analyze_timing(m: &NirModule, timing: &mut ChainTiming) -> TimingSummary {
+    analyze_timing_in(m, &CombGraph::new(m), timing)
+}
+
+/// [`analyze_timing`] over an already-built [`CombGraph`] of `m`.
+pub(crate) fn analyze_timing_in(
+    m: &NirModule,
+    graph: &CombGraph,
+    timing: &mut ChainTiming,
+) -> TimingSummary {
+    let states = analyzed_states(m);
+    let mut sta = IncrementalSta::new(m, graph, timing);
+    sta.full_walk(states[0]);
+    for (si, &st) in states.iter().enumerate().skip(1) {
+        sta.advance(st, si);
+    }
+    let worst = sta.worst;
+    summarize(m, timing, &graph.fanin, &states, &worst)
+}
+
+/// The literal per-state analysis [`analyze_timing`] is checked against:
+/// for every folded state a full [`known_values`] walk and a full
+/// arrival pass, O(states × cells). Kept as the oracle, in the same way
+/// `hls_sched` keeps its monolithic `run_reference`.
+pub fn analyze_timing_reference(m: &NirModule, timing: &mut ChainTiming) -> TimingSummary {
+    let fanin = mux_fanins(m);
+    let states = analyzed_states(m);
+    let mut worst: WorstArrivals = vec![None; m.num_cells()];
     for (si, &st) in states.iter().enumerate() {
         let known = known_values(m, st);
         let pass = timing_pass(m, timing, &fanin, &known);
@@ -439,12 +525,23 @@ pub fn analyze_timing(m: &NirModule, timing: &mut ChainTiming) -> TimingSummary 
                 continue;
             }
             let (_, arrival) = endpoint_arrival(m, &pass, id);
-            if worst[id.index()].map(|(a, _)| arrival > a).unwrap_or(true) {
-                worst[id.index()] = Some((arrival, si));
-            }
+            record_worst(&mut worst[id.index()], arrival, si);
         }
     }
+    summarize(m, timing, &fanin, &states, &worst)
+}
 
+/// Builds the summary from the per-endpoint worst arrivals: endpoints
+/// sorted worst-slack first, WNS/TNS, and the critical path.
+fn summarize(
+    m: &NirModule,
+    timing: &mut ChainTiming,
+    fanin: &[usize],
+    states: &[Option<u64>],
+    worst: &WorstArrivals,
+) -> TimingSummary {
+    let setup = timing.setup_ps();
+    let clock = timing.clock();
     let mut endpoints = Vec::new();
     for (id, cell) in m.iter_cells() {
         if !matches!(cell.kind, CellKind::Reg { .. } | CellKind::Output { .. }) {
@@ -482,7 +579,7 @@ pub fn analyze_timing(m: &NirModule, timing: &mut ChainTiming) -> TimingSummary 
         let e = worst_ep.cell;
         let si = worst[e.index()].map(|(_, s)| s).unwrap_or(0);
         let known = known_values(m, states[si]);
-        let pass = timing_pass(m, timing, &fanin, &known);
+        let pass = timing_pass(m, timing, fanin, &known);
         let (end_pred, _) = endpoint_arrival(m, &pass, e);
         let cell = m.cell(e);
         let mut cursor = end_pred.filter(|&p| p != e);
@@ -522,6 +619,304 @@ pub fn analyze_timing(m: &NirModule, timing: &mut ChainTiming) -> TimingSummary 
         tns_ps,
         endpoints,
         critical_path,
+    }
+}
+
+/// How a cell's arrival is formed; fixed for the whole analysis.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum ArrivalClass {
+    /// Registers, port samples, controller bits and constants: a fixed
+    /// arrival (clock-to-Q, or 0 for a constant).
+    Launch,
+    /// A 2-way steering mux: its candidates depend on its select's known
+    /// value in the current state.
+    Mux,
+    /// Any other combinational cell: its worst operand plus its delay.
+    Plain,
+}
+
+/// Worklist flags per cell: which of its values the current state must
+/// re-evaluate. A cell is queued exactly when its flags are non-zero.
+const REEVAL_KNOWN: u8 = 1;
+const REEVAL_ARRIVAL: u8 = 2;
+
+/// The event-driven form of [`analyze_timing_reference`]'s per-state walk.
+/// It holds one state's known values and arrivals at a time and moves them
+/// to the next state by re-evaluating only what that state changes. Each
+/// cell is evaluated with the reference's formula, operands in the same
+/// order and ties broken by the same strict `>`, so every value is
+/// bit-identical to the reference's for the same state.
+struct IncrementalSta<'a> {
+    m: &'a NirModule,
+    order: &'a [CellId],
+    /// Position of each cell in `order`: the worklist priority.
+    rank: Vec<u32>,
+    class: Vec<ArrivalClass>,
+    /// Per class: the launch arrival, the mux tree's fan-in charge, or the
+    /// plain cell's delay.
+    fixed: Vec<f64>,
+    launch: f64,
+    /// Consumers of each cell (CSR: `fanout[fanout_start[i]..fanout_start[i + 1]]`).
+    fanout_start: Vec<u32>,
+    fanout: Vec<CellId>,
+    /// Register and output-port cells, in arena order.
+    endpoints: Vec<CellId>,
+    is_endpoint: Vec<bool>,
+    fsm_cells: Vec<CellId>,
+    known: Vec<Option<u64>>,
+    /// Arrival at each cell's output.
+    val: Vec<f64>,
+    /// A mux's arrival before its tree charge (equal to `val` otherwise).
+    base: Vec<f64>,
+    flags: Vec<u8>,
+    queue: BinaryHeap<Reverse<u32>>,
+    /// Endpoints whose data arrival or enable changed in this state.
+    dirty: Vec<CellId>,
+    is_dirty: Vec<bool>,
+    worst: WorstArrivals,
+    /// Cell evaluations (known value or arrival) so far.
+    evaluations: usize,
+}
+
+impl<'a> IncrementalSta<'a> {
+    fn new(m: &'a NirModule, graph: &'a CombGraph, timing: &mut ChainTiming) -> Self {
+        let n = m.num_cells();
+        let launch = timing.register_arrival_ps();
+        let mut rank = vec![0u32; n];
+        for (r, id) in graph.order.iter().enumerate() {
+            rank[id.index()] = r as u32;
+        }
+        let mut class = Vec::with_capacity(n);
+        let mut fixed = Vec::with_capacity(n);
+        let mut endpoints = Vec::new();
+        let mut is_endpoint = vec![false; n];
+        let mut fsm_cells = Vec::new();
+        let mut fanout_start = vec![0u32; n + 1];
+        for (id, cell) in m.iter_cells() {
+            let (c, f) = if cell.kind.is_seq() || matches!(cell.kind, CellKind::Input { .. }) {
+                (ArrivalClass::Launch, launch)
+            } else if let CellKind::Const(_) = cell.kind {
+                (ArrivalClass::Launch, 0.0)
+            } else if cell.kind.is_source() {
+                (ArrivalClass::Launch, launch)
+            } else if let CellKind::Mux { .. } = cell.kind {
+                let charge = timing.mux_tree_delay_ps(graph.fanin[id.index()], cell.width);
+                (ArrivalClass::Mux, charge)
+            } else {
+                let in_widths: Vec<u16> = cell.inputs.iter().map(|&x| m.cell(x).width).collect();
+                let delay = timing.cell_delay_ps(&cell.kind, &in_widths, cell.width);
+                (ArrivalClass::Plain, delay)
+            };
+            class.push(c);
+            fixed.push(f);
+            if matches!(cell.kind, CellKind::Reg { .. } | CellKind::Output { .. }) {
+                endpoints.push(id);
+                is_endpoint[id.index()] = true;
+            }
+            if let CellKind::FsmState = cell.kind {
+                fsm_cells.push(id);
+            }
+            for &x in &cell.inputs {
+                fanout_start[x.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            fanout_start[i + 1] += fanout_start[i];
+        }
+        let mut next = fanout_start.clone();
+        let mut fanout = vec![CellId::from_raw(0); fanout_start[n] as usize];
+        for (id, cell) in m.iter_cells() {
+            for &x in &cell.inputs {
+                fanout[next[x.index()] as usize] = id;
+                next[x.index()] += 1;
+            }
+        }
+        IncrementalSta {
+            m,
+            order: &graph.order,
+            rank,
+            class,
+            fixed,
+            launch,
+            fanout_start,
+            fanout,
+            endpoints,
+            is_endpoint,
+            fsm_cells,
+            known: vec![None; n],
+            val: vec![0.0; n],
+            base: vec![0.0; n],
+            flags: vec![0; n],
+            queue: BinaryHeap::new(),
+            dirty: Vec::new(),
+            is_dirty: vec![false; n],
+            worst: vec![None; n],
+            evaluations: 0,
+        }
+    }
+
+    /// State 0: every known value, every arrival, every endpoint.
+    fn full_walk(&mut self, state: Option<u64>) {
+        for &id in self.order {
+            let i = id.index();
+            self.known[i] = known_value(self.m, id, &self.known, state);
+            (self.val[i], self.base[i]) = self.arrival(id);
+        }
+        self.evaluations += 2 * self.order.len();
+        for k in 0..self.endpoints.len() {
+            self.check_endpoint(self.endpoints[k], 0);
+        }
+    }
+
+    /// Moves from the previous state to `state` (index `si`): re-seeds the
+    /// state counter, propagates what changes in topological order, then
+    /// re-checks the endpoints the changes reached.
+    fn advance(&mut self, state: Option<u64>, si: usize) {
+        for k in 0..self.fsm_cells.len() {
+            self.enqueue(self.fsm_cells[k], REEVAL_KNOWN);
+        }
+        while let Some(Reverse(r)) = self.queue.pop() {
+            let id = self.order[r as usize];
+            let i = id.index();
+            let flags = std::mem::take(&mut self.flags[i]);
+            if flags & REEVAL_KNOWN != 0 {
+                self.evaluations += 1;
+                let k = known_value(self.m, id, &self.known, state);
+                if k != self.known[i] {
+                    self.known[i] = k;
+                    self.known_changed(id);
+                }
+            }
+            if flags & REEVAL_ARRIVAL != 0 {
+                self.evaluations += 1;
+                let (v, b) = self.arrival(id);
+                if v.to_bits() != self.val[i].to_bits() || b.to_bits() != self.base[i].to_bits() {
+                    (self.val[i], self.base[i]) = (v, b);
+                    self.arrival_changed(id);
+                }
+            }
+        }
+        for e in std::mem::take(&mut self.dirty) {
+            self.is_dirty[e.index()] = false;
+            self.check_endpoint(e, si);
+        }
+    }
+
+    fn enqueue(&mut self, id: CellId, flag: u8) {
+        let i = id.index();
+        if self.flags[i] == 0 {
+            self.queue.push(Reverse(self.rank[i]));
+        }
+        self.flags[i] |= flag;
+    }
+
+    fn mark_dirty(&mut self, e: CellId) {
+        if !self.is_dirty[e.index()] {
+            self.is_dirty[e.index()] = true;
+            self.dirty.push(e);
+        }
+    }
+
+    /// `id`'s known value changed: its combinational consumers' known
+    /// values may change, a mux it selects re-picks its arms, and an
+    /// endpoint it enables may switch on or off.
+    fn known_changed(&mut self, id: CellId) {
+        let m = self.m;
+        let i = id.index();
+        for k in self.fanout_start[i]..self.fanout_start[i + 1] {
+            let u = self.fanout[k as usize];
+            let consumer = m.cell(u);
+            match self.class[u.index()] {
+                ArrivalClass::Launch => {}
+                ArrivalClass::Mux if consumer.inputs[0] == id => {
+                    self.enqueue(u, REEVAL_KNOWN | REEVAL_ARRIVAL)
+                }
+                _ => self.enqueue(u, REEVAL_KNOWN),
+            }
+            if self.is_endpoint[u.index()] && consumer.inputs.get(1) == Some(&id) {
+                self.mark_dirty(u);
+            }
+        }
+    }
+
+    /// `id`'s arrival changed: every combinational consumer re-evaluates
+    /// its arrival and every endpoint it feeds is re-checked.
+    fn arrival_changed(&mut self, id: CellId) {
+        let i = id.index();
+        for k in self.fanout_start[i]..self.fanout_start[i + 1] {
+            let u = self.fanout[k as usize];
+            if self.class[u.index()] != ArrivalClass::Launch {
+                self.enqueue(u, REEVAL_ARRIVAL);
+            }
+            if self.is_endpoint[u.index()] {
+                self.mark_dirty(u);
+            }
+        }
+    }
+
+    /// `(val, base)` of one cell under the current known values: the same
+    /// computation as the reference's `timing_pass`, less its path
+    /// bookkeeping.
+    fn arrival(&self, id: CellId) -> (f64, f64) {
+        let i = id.index();
+        let cell = self.m.cell(id);
+        match self.class[i] {
+            ArrivalClass::Launch => (self.fixed[i], self.fixed[i]),
+            ArrivalClass::Mux => {
+                let sel = cell.inputs[0];
+                let sel_known = self.known[sel.index()];
+                let sel_arrival = match sel_known {
+                    Some(_) => self.launch,
+                    None => self.val[sel.index()],
+                };
+                let arms: &[CellId] = match sel_known {
+                    Some(s) => {
+                        let picked = if s != 0 { 1 } else { 2 };
+                        &cell.inputs[picked..=picked]
+                    }
+                    None => &cell.inputs[1..],
+                };
+                let mut best: Option<f64> = None;
+                for &armed in arms {
+                    let v = match self.class[armed.index()] {
+                        ArrivalClass::Mux => self.base[armed.index()],
+                        _ => self.val[armed.index()],
+                    };
+                    if best.map(|b| v > b).unwrap_or(true) {
+                        best = Some(v);
+                    }
+                }
+                let mut bv = best.expect("muxes have at least one active arm");
+                if sel_arrival > bv {
+                    bv = sel_arrival;
+                }
+                (bv + self.fixed[i], bv)
+            }
+            ArrivalClass::Plain => {
+                let v = self.worst_input(id).unwrap_or(0.0) + self.fixed[i];
+                (v, v)
+            }
+        }
+    }
+
+    /// The latest arrival among `id`'s operands, first operand winning ties.
+    fn worst_input(&self, id: CellId) -> Option<f64> {
+        let mut best: Option<f64> = None;
+        for &input in &self.m.cell(id).inputs {
+            let v = self.val[input.index()];
+            if best.map(|b| v > b).unwrap_or(true) {
+                best = Some(v);
+            }
+        }
+        best
+    }
+
+    fn check_endpoint(&mut self, e: CellId, si: usize) {
+        if !endpoint_active(self.m, &self.known, e) {
+            return;
+        }
+        let arrival = self.worst_input(e).unwrap_or(0.0);
+        record_worst(&mut self.worst[e.index()], arrival, si);
     }
 }
 
@@ -715,6 +1110,243 @@ mod tests {
             "got {} want {long}",
             kept.critical_delay_ps()
         );
+    }
+
+    /// Runs the incremental analysis and the per-state reference on `m` and
+    /// requires them to agree exactly; returns the summary.
+    fn matches_reference(m: &NirModule, period: f64) -> TimingSummary {
+        validate(m).expect("well-formed");
+        let (lib, clock) = timing(period);
+        let fast = analyze_timing(m, &mut ChainTiming::new(&lib, clock));
+        let slow = analyze_timing_reference(m, &mut ChainTiming::new(&lib, clock));
+        assert_eq!(fast, slow);
+        fast
+    }
+
+    /// A folded controller with one `fsm == k` decode per state.
+    fn fsm_decodes(m: &mut NirModule, states: u32) -> Vec<CellId> {
+        m.fold_states = states;
+        let fsm = m.push(CellKind::FsmState, 8, vec![]);
+        (0..states)
+            .map(|k| {
+                let c = m.push(CellKind::Const(i64::from(k)), 8, vec![]);
+                m.push(CellKind::Bin(BinKind::Cmp(CmpKind::Eq)), 1, vec![fsm, c])
+            })
+            .collect()
+    }
+
+    /// A free-running source register `r` and the multiplier `p = r * r`.
+    fn reg_and_mul(m: &mut NirModule) -> (CellId, CellId) {
+        let en = m.push(CellKind::Const(1), 1, vec![]);
+        let r = named(m, CellKind::Reg { init: 0 }, 32, vec![], "r");
+        m.cells[r.index()].inputs = vec![r, en];
+        let p = named(m, CellKind::Bin(BinKind::Mul), 32, vec![r, r], "p");
+        (r, p)
+    }
+
+    /// `(short, long)`: reg -> mux2 -> reg, and reg -> mul -> mux2 -> reg.
+    fn mux_path_delays(period: f64) -> (f64, f64) {
+        let (lib, clock) = timing(period);
+        let mut t = ChainTiming::new(&lib, clock);
+        let short = t.register_arrival_ps() + t.mux_tree_delay_ps(2, 32) + t.setup_ps();
+        let mul = t.cell_delay_ps(&CellKind::Bin(BinKind::Mul), &[32, 32], 32);
+        (short, short + mul)
+    }
+
+    /// An endpoint enabled in states 0 and 2 but not in 1 or 3 counts only
+    /// its enabled states. Steered to the multiplier in states 1 and 3 it
+    /// never sees that arm; steered to it in states 1 and 2 it must be
+    /// re-checked when its enable turns back on in state 2, although its
+    /// data arrival did not change from state 1, and the path is recovered
+    /// from state 2.
+    #[test]
+    fn endpoint_enable_on_off_on_across_states() {
+        let (_, long) = mux_path_delays(1600.0);
+        for (steered, through_mul) in [([1usize, 3], false), ([1, 2], true)] {
+            let mut m = NirModule::new("toggle");
+            let eq = fsm_decodes(&mut m, 4);
+            let (r, p) = reg_and_mul(&mut m);
+            let en = m.push(CellKind::Bin(BinKind::Or), 1, vec![eq[0], eq[2]]);
+            let sel = m.push(
+                CellKind::Bin(BinKind::Or),
+                1,
+                vec![eq[steered[0]], eq[steered[1]]],
+            );
+            let d = m.push(CellKind::Mux { onehot: false }, 32, vec![sel, p, r]);
+            named(&mut m, CellKind::Reg { init: 0 }, 32, vec![d, en], "cap");
+            let s = matches_reference(&m, 1600.0);
+            // the enable decode is the longest path when the multiplier
+            // arm does not count
+            assert_eq!(
+                (s.critical_delay_ps() - long).abs() < 0.1,
+                through_mul,
+                "steered in states {steered:?}: {s:?}"
+            );
+            let named_mul = s.critical_path.iter().any(|st| st.name == "p");
+            assert_eq!(named_mul, through_mul, "{}", s.critical_path_names());
+        }
+    }
+
+    /// An always-enabled endpoint is re-checked when only its data arrival
+    /// changes: the multiplier arm is steered in the last state only.
+    #[test]
+    fn endpoint_data_change_under_a_constant_enable() {
+        let (_, long) = mux_path_delays(1600.0);
+        let mut m = NirModule::new("data");
+        let eq = fsm_decodes(&mut m, 3);
+        let (r, p) = reg_and_mul(&mut m);
+        let on = m.push(CellKind::Const(1), 1, vec![]);
+        let d = m.push(CellKind::Mux { onehot: false }, 32, vec![eq[2], p, r]);
+        named(&mut m, CellKind::Reg { init: 0 }, 32, vec![d, on], "cap");
+        let s = matches_reference(&m, 1600.0);
+        assert!((s.critical_delay_ps() - long).abs() < 0.1, "{s:?}");
+    }
+
+    /// A data-dependent (first-iteration) select stays unknown in every
+    /// state, so both arms count wherever the endpoint captures; gated by a
+    /// state decode it is known-false in the other states, and the select
+    /// switches between known and unknown from state to state.
+    #[test]
+    fn data_dependent_select_in_a_multi_state_netlist() {
+        let (_, long) = mux_path_delays(1600.0);
+        for gate in [None, Some(1usize), Some(3)] {
+            let mut m = NirModule::new("first");
+            let eq = fsm_decodes(&mut m, 4);
+            let (r, p) = reg_and_mul(&mut m);
+            let first = m.push(CellKind::FirstIter { stage: 0 }, 1, vec![]);
+            let sel = match gate {
+                Some(k) => m.push(CellKind::Bin(BinKind::And), 1, vec![first, eq[k]]),
+                None => first,
+            };
+            let d = m.push(CellKind::Mux { onehot: false }, 32, vec![sel, p, r]);
+            named(&mut m, CellKind::Reg { init: 0 }, 32, vec![d, eq[3]], "cap");
+            let s = matches_reference(&m, 1600.0);
+            if gate == Some(1) {
+                // unknown only in state 1, where `cap` does not capture
+                assert!(s.critical_delay_ps() < long - 0.1, "{s:?}");
+            } else {
+                assert!(s.critical_delay_ps() >= long - 0.1, "{s:?}");
+            }
+        }
+    }
+
+    /// A select decoded through xor, not, resize and slice still resolves
+    /// per state: `cap` captures only outside state 2, where the decode
+    /// picks the register arm, so the multiplier arm never counts.
+    #[test]
+    fn select_decode_through_xor_not_resize_slice() {
+        let (_, long) = mux_path_delays(1600.0);
+        let mut m = NirModule::new("decode");
+        let eq = fsm_decodes(&mut m, 4);
+        let (r, p) = reg_and_mul(&mut m);
+        let one = m.push(CellKind::Const(1), 1, vec![]);
+        let ne = m.push(CellKind::Bin(BinKind::Xor), 1, vec![eq[2], one]);
+        let back = m.push(CellKind::Un(UnKind::Not), 1, vec![ne]);
+        let wide = m.push(CellKind::Resize, 8, vec![back]);
+        let bit = m.push(CellKind::Slice { hi: 0, lo: 0 }, 1, vec![wide]);
+        let d = m.push(CellKind::Mux { onehot: false }, 32, vec![bit, p, r]);
+        named(&mut m, CellKind::Reg { init: 0 }, 32, vec![d, ne], "cap");
+        let s = matches_reference(&m, 1600.0);
+        assert!(s.critical_delay_ps() < long - 0.1, "{s:?}");
+        assert!(s.critical_path.iter().all(|st| st.name != "p"), "{s:?}");
+    }
+
+    /// An endpoint no state enables is reported at the setup floor.
+    #[test]
+    fn endpoint_inactive_in_every_state() {
+        let mut m = NirModule::new("never");
+        let eq = fsm_decodes(&mut m, 3);
+        let (_, p) = reg_and_mul(&mut m);
+        let never = m.push(CellKind::Bin(BinKind::And), 1, vec![eq[0], eq[1]]);
+        let cap = named(&mut m, CellKind::Reg { init: 0 }, 32, vec![p, never], "cap");
+        let s = matches_reference(&m, 1600.0);
+        let (lib, clock) = timing(1600.0);
+        let setup = ChainTiming::new(&lib, clock).setup_ps();
+        let ep = s
+            .endpoints
+            .iter()
+            .find(|e| e.cell == cap)
+            .expect("reported");
+        assert_eq!(ep.delay_ps, setup);
+    }
+
+    /// Without a folded controller there is one free pass: the state
+    /// counter is unknown, so a state-decoded select keeps both arms.
+    #[test]
+    fn single_state_netlists_get_one_free_pass() {
+        let (_, long) = mux_path_delays(1600.0);
+        for states in [0, 1] {
+            let mut m = NirModule::new("free");
+            let eq = fsm_decodes(&mut m, 2);
+            m.fold_states = states;
+            let (r, p) = reg_and_mul(&mut m);
+            let d = m.push(CellKind::Mux { onehot: false }, 32, vec![eq[1], p, r]);
+            named(&mut m, CellKind::Reg { init: 0 }, 32, vec![d, eq[0]], "cap");
+            let s = matches_reference(&m, 1600.0);
+            assert!((s.critical_delay_ps() - long).abs() < 0.1, "{s:?}");
+        }
+    }
+
+    /// A netlist without registers or outputs has no endpoints and no path.
+    #[test]
+    fn netlists_without_endpoints() {
+        let mut m = NirModule::new("comb");
+        let eq = fsm_decodes(&mut m, 3);
+        let a = m.push(CellKind::Const(3), 8, vec![]);
+        let s = m.push(CellKind::Bin(BinKind::Add), 8, vec![a, a]);
+        m.push(CellKind::Mux { onehot: false }, 8, vec![eq[1], s, a]);
+        let summary = matches_reference(&m, 1600.0);
+        assert!(summary.endpoints.is_empty());
+        assert!(summary.critical_path.is_empty());
+        assert_eq!(
+            summary.wns_ps,
+            ClockConstraint::from_period_ps(1600.0).usable_period_ps()
+        );
+        assert_eq!(summary.tns_ps, 0.0);
+    }
+
+    /// A later state re-evaluates the cells its state decodes reach, not
+    /// the netlist: a long state-invariant adder chain is walked once.
+    #[test]
+    fn later_states_touch_only_the_changed_cones() {
+        let states = 16;
+        let mut m = NirModule::new("cones");
+        let eq = fsm_decodes(&mut m, states);
+        let (r, _) = reg_and_mul(&mut m);
+        let mut acc = r;
+        for _ in 0..200 {
+            acc = m.push(CellKind::Bin(BinKind::Add), 32, vec![acc, r]);
+        }
+        named(
+            &mut m,
+            CellKind::Reg { init: 0 },
+            32,
+            vec![acc, eq[0]],
+            "sum",
+        );
+        for (k, &e) in eq.iter().enumerate() {
+            let d = m.push(CellKind::Mux { onehot: false }, 32, vec![e, acc, r]);
+            named(
+                &mut m,
+                CellKind::Reg { init: 0 },
+                32,
+                vec![d, e],
+                &format!("c{k}"),
+            );
+        }
+        matches_reference(&m, 20_000.0);
+        let (lib, clock) = timing(20_000.0);
+        let graph = CombGraph::new(&m);
+        let mut sta = IncrementalSta::new(&m, &graph, &mut ChainTiming::new(&lib, clock));
+        sta.full_walk(Some(0));
+        let full = sta.evaluations;
+        for k in 1..states {
+            sta.advance(Some(u64::from(k)), k as usize);
+        }
+        let per_state = (sta.evaluations - full) / (states as usize - 1);
+        // the state counter's 16 compares, 2 flipped decodes and their
+        // muxes, against 2 × ~270 cells for a full walk
+        assert!(per_state * 10 < full, "{per_state} per state vs {full}");
     }
 
     /// The analysis is a pure function of the module.

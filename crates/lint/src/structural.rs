@@ -7,7 +7,7 @@
 //! with [`Lint::MalformedNetlist`] before calling in here otherwise).
 
 use crate::config::{Lint, LintConfig};
-use crate::sta::{cell_name, mux_fanins};
+use crate::sta::cell_name;
 use crate::LintContext;
 use hls_ir::{BitVal, CmpKind};
 use hls_nir::{sanitize, BinKind, CellId, CellKind, NirModule};
@@ -19,6 +19,7 @@ pub(crate) type Finding = (Lint, Option<CellId>, String);
 /// Runs every structural check over the module.
 pub(crate) fn structural_findings(
     m: &NirModule,
+    fanins: &[usize],
     ctx: &LintContext,
     cfg: &LintConfig,
 ) -> Vec<Finding> {
@@ -27,7 +28,7 @@ pub(crate) fn structural_findings(
     dead_registers(m, &mut out);
     fsm_and_mux_reachability(m, &mut out);
     width_truncations(m, &mut out);
-    comb_fanin(m, ctx, cfg.max_comb_fanin, &mut out);
+    comb_fanin(m, fanins, ctx, cfg.max_comb_fanin, &mut out);
     const_foldable(m, &mut out);
     out
 }
@@ -177,8 +178,13 @@ fn width_truncations(m: &NirModule, out: &mut Vec<Finding>) {
 /// Steering trees (and the binding they implement) fanning in more sources
 /// than the configured bound: a mux_n past the bound is a long combinational
 /// hop and an area hot-spot.
-fn comb_fanin(m: &NirModule, ctx: &LintContext, bound: usize, out: &mut Vec<Finding>) {
-    let fanins = mux_fanins(m);
+fn comb_fanin(
+    m: &NirModule,
+    fanins: &[usize],
+    ctx: &LintContext,
+    bound: usize,
+    out: &mut Vec<Finding>,
+) {
     // Only report tree roots: a mux consumed as another mux's arm is an
     // inner element of the same physical mux_n.
     let mut is_arm = vec![false; m.num_cells()];
@@ -255,6 +261,7 @@ fn const_foldable(m: &NirModule, out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sta::mux_fanins;
     use hls_tech::{ClockConstraint, TechLibrary};
 
     fn ctx_fixture() -> (TechLibrary, ClockConstraint) {
@@ -267,7 +274,7 @@ mod tests {
     fn findings_of(m: &NirModule, lint: Lint) -> Vec<Finding> {
         let (lib, clock) = ctx_fixture();
         let ctx = crate::LintContext::new(&lib, clock);
-        structural_findings(m, &ctx, &LintConfig::default())
+        structural_findings(m, &mux_fanins(m), &ctx, &LintConfig::default())
             .into_iter()
             .filter(|(l, _, _)| *l == lint)
             .collect()
@@ -373,7 +380,7 @@ mod tests {
         let (lib, clock) = ctx_fixture();
         let ctx = crate::LintContext::new(&lib, clock);
         let cfg = LintConfig::default().with_max_comb_fanin(3);
-        let hits: Vec<_> = structural_findings(&m, &ctx, &cfg)
+        let hits: Vec<_> = structural_findings(&m, &mux_fanins(&m), &ctx, &cfg)
             .into_iter()
             .filter(|(l, _, _)| *l == Lint::CombFanin)
             .collect();

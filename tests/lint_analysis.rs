@@ -1,14 +1,20 @@
 //! Integration tests for the `hls-lint` analyzer: the idct8 acceptance
 //! check (the reported critical path must re-derive, cell by cell, from
-//! `ChainTiming` primitives) and the rewrite-monotonicity property
-//! (`optimize()` never introduces new diagnostics).
+//! `ChainTiming` primitives), the rewrite-monotonicity property
+//! (`optimize()` never introduces new diagnostics) and the STA oracle (the
+//! incremental `analyze_timing` equals the per-state reference walk).
+use hls::designs::{fir_filter, moving_average, paper_example1};
 use hls::explore::{idct8_design, synthetic_design, DesignClass};
-use hls::lint::{analyze, optimize_timed, Lint, LintConfig, LintContext};
+use hls::lint::{
+    analyze, analyze_timing, analyze_timing_reference, optimize_timed, Lint, LintConfig,
+    LintContext,
+};
 use hls::netlist::ChainTiming;
 use hls::nir::CellKind;
 use hls::sched::{Scheduler, SchedulerConfig};
 use hls::sim::differential;
 use hls::tech::{ClockConstraint, TechLibrary};
+use hls::{SynthesisError, SynthesisResult};
 use proptest::prelude::*;
 
 /// Recomputes the critical path's delay step by step from `ChainTiming`
@@ -234,6 +240,95 @@ fn stored_report_matches_fresh_analysis() {
     assert_eq!(result.lint.to_json(), fresh.to_json());
 }
 
+/// The stock designs, synthesized as the `lint_report` example runs them.
+fn stock_designs() -> Vec<(&'static str, Result<SynthesisResult, SynthesisError>)> {
+    let fir8 = || fir_filter(&[3, -5, 7, 11, 11, 7, -5, 3], 16);
+    vec![
+        (
+            "example1_sequential",
+            hls::Synthesizer::new(paper_example1())
+                .clock_ps(1600.0)
+                .latency_bounds(1, 3)
+                .run(),
+        ),
+        (
+            "example1_ii2",
+            hls::Synthesizer::new(paper_example1())
+                .clock_ps(1600.0)
+                .latency_bounds(1, 6)
+                .pipeline(2)
+                .run(),
+        ),
+        (
+            "moving_average_ii1",
+            hls::Synthesizer::new(moving_average(2, 16))
+                .clock_ps(1600.0)
+                .latency_bounds(1, 8)
+                .pipeline(1)
+                .run(),
+        ),
+        (
+            "fir8_ii2",
+            hls::Synthesizer::new(fir8())
+                .clock_ps(1600.0)
+                .latency_bounds(1, 16)
+                .pipeline(2)
+                .run(),
+        ),
+        (
+            "fir8_sequential",
+            hls::Synthesizer::new(fir8())
+                .clock_ps(1600.0)
+                .latency_bounds(1, 16)
+                .run(),
+        ),
+        (
+            "idct8_ii8",
+            hls::Synthesizer::from_body(idct8_design())
+                .clock_ps(2000.0)
+                .latency_bounds(1, 32)
+                .pipeline(8)
+                .run(),
+        ),
+        (
+            "idct8_sequential",
+            hls::Synthesizer::from_body(idct8_design())
+                .clock_ps(2000.0)
+                .latency_bounds(1, 32)
+                .run(),
+        ),
+    ]
+}
+
+/// The facade analyzes each netlist's timing once, reusing the timed
+/// rewrite loop's final summary: on every stock design that summary is
+/// what a fresh analysis of the returned netlist reports, and the
+/// incremental analysis equals the per-state reference — also on the
+/// netlist the timed loop rewrites at a clock 50 ps below the critical
+/// path, as the `lint_report` example probes it.
+#[test]
+fn stock_designs_report_the_timing_of_their_netlist() {
+    let lib = TechLibrary::artisan_90nm_typical();
+    let mut rewritten = 0;
+    for (name, result) in stock_designs() {
+        let result = result.unwrap_or_else(|e| panic!("{name}: {e}"));
+        let clock = ClockConstraint::from_period_ps(result.lint.clock_ps);
+        let fresh = analyze_timing(&result.netlist, &mut ChainTiming::new(&lib, clock));
+        assert_eq!(result.lint.timing.as_ref(), Some(&fresh), "{name}");
+        let reference =
+            analyze_timing_reference(&result.netlist, &mut ChainTiming::new(&lib, clock));
+        assert_eq!(fresh, reference, "{name}");
+
+        let probe = ClockConstraint::from_period_ps(fresh.critical_delay_ps() - 50.0);
+        let mut netlist = result.netlist.clone();
+        let report = optimize_timed(&mut netlist, &lib, probe);
+        rewritten += usize::from(report.changed());
+        let reference = analyze_timing_reference(&netlist, &mut ChainTiming::new(&lib, probe));
+        assert_eq!(report.after, reference, "{name} at the probe clock");
+    }
+    assert!(rewritten > 0, "some probe must rewrite its netlist");
+}
+
 fn class_strategy() -> impl Strategy<Value = DesignClass> {
     prop_oneof![
         Just(DesignClass::Filter),
@@ -367,6 +462,57 @@ proptest! {
         if ra.changed() {
             differential::random_check_nir(&body, &a, 30, seed)
                 .map_err(|e| TestCaseError::fail(format!("seed {seed}: differential: {e}")))?;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
+
+    /// The STA oracle: the incremental `analyze_timing` equals the
+    /// per-state `analyze_timing_reference` exactly — every `f64`, the
+    /// endpoint order and the critical path — on random lowered netlists,
+    /// sequential and II=2, shared-FU and per-op, before and after
+    /// `optimize()`, and after `optimize_timed()` at a 900 ps clock.
+    #[test]
+    fn incremental_sta_equals_the_per_state_reference(
+        class in class_strategy(),
+        ops in 40usize..400,
+        seed in 0u64..1000,
+        pipelined in any::<bool>(),
+    ) {
+        let body = synthetic_design(class, ops, seed);
+        let lib = TechLibrary::artisan_90nm_typical();
+        let clock = ClockConstraint::from_period_ps(1800.0);
+        let config = if pipelined {
+            SchedulerConfig::pipelined(clock, 2, 64)
+        } else {
+            SchedulerConfig::sequential(clock, 1, 64)
+        };
+        let Ok(schedule) = Scheduler::new(&body, &lib, config).run() else {
+            return Ok(());
+        };
+        let Ok(binding) = hls::bind::bind(&body, &schedule.desc) else {
+            return Ok(());
+        };
+        let tight = ClockConstraint::from_period_ps(900.0);
+        let check = |netlist: &hls::nir::NirModule, clock: ClockConstraint, stage: &str| {
+            let fast = analyze_timing(netlist, &mut ChainTiming::new(&lib, clock));
+            let slow = analyze_timing_reference(netlist, &mut ChainTiming::new(&lib, clock));
+            prop_assert!(fast == slow, "{}: {:?}\n!=\n{:?}", stage, fast, slow);
+            Ok(fast)
+        };
+        for style in [hls::bind::RtlStyle::SharedFu, hls::bind::RtlStyle::PerOp] {
+            let Ok(mut netlist) = hls::bind::lower(&body, &schedule.desc, &binding, style) else {
+                continue;
+            };
+            check(&netlist, clock, "lowered")?;
+            hls::nir::optimize(&mut netlist);
+            check(&netlist, clock, "optimized")?;
+            check(&netlist, tight, "optimized, 900 ps")?;
+            let report = optimize_timed(&mut netlist, &lib, tight);
+            let after = check(&netlist, tight, "timed rewrites")?;
+            prop_assert_eq!(&report.after, &after);
         }
     }
 }

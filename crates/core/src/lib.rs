@@ -276,10 +276,20 @@ impl SynthesisResult {
     }
 }
 
+/// What a [`Synthesizer`] runs on.
+#[derive(Clone, Debug)]
+enum Input {
+    /// A behaviour, elaborated and linearized at the selected loop.
+    Behavior(Behavior),
+    /// An already-linearized loop body (the exploration experiments
+    /// generate bodies directly).
+    Body(LinearBody),
+}
+
 /// End-to-end synthesis driver.
 #[derive(Clone, Debug)]
 pub struct Synthesizer {
-    behavior: Behavior,
+    input: Input,
     clock_ps: f64,
     min_latency: u32,
     max_latency: u32,
@@ -295,8 +305,17 @@ pub struct Synthesizer {
 impl Synthesizer {
     /// Starts a synthesis run for a behaviour.
     pub fn new(behavior: Behavior) -> Self {
+        Self::with_input(Input::Behavior(behavior))
+    }
+
+    /// Starts a synthesis run from an already-linearized loop body.
+    pub fn from_body(body: LinearBody) -> Self {
+        Self::with_input(Input::Body(body))
+    }
+
+    fn with_input(input: Input) -> Self {
         Synthesizer {
-            behavior,
+            input,
             clock_ps: 1600.0,
             min_latency: 1,
             max_latency: 32,
@@ -307,19 +326,6 @@ impl Synthesizer {
             verify_vectors: None,
             lint_config: LintConfig::default(),
             recovery: RecoveryPolicy::disabled(),
-        }
-    }
-
-    /// Starts a synthesis run from an already-linearized loop body.
-    pub fn from_body(body: LinearBody) -> BodySynthesizer {
-        BodySynthesizer {
-            body,
-            inner: Synthesizer::new(Behavior {
-                name: String::new(),
-                ports: vec![],
-                vars: vec![],
-                body: vec![],
-            }),
         }
     }
 
@@ -355,8 +361,8 @@ impl Synthesizer {
         self
     }
 
-    /// Selects which loop to synthesize by its label (defaults to the
-    /// innermost loop).
+    /// Selects which loop of a behaviour to synthesize by its label
+    /// (defaults to the innermost loop); ignored for a loop-body input.
     pub fn for_loop(mut self, label: impl Into<String>) -> Self {
         self.loop_label = Some(label.into());
         self
@@ -404,7 +410,11 @@ impl Synthesizer {
     /// # Errors
     /// Returns a [`SynthesisError`] wrapping the first stage that failed.
     pub fn run(self) -> Result<SynthesisResult, SynthesisError> {
-        let mut cdfg = elaborate(&self.behavior)?;
+        let behavior = match &self.input {
+            Input::Body(body) => return self.run_on_body(body),
+            Input::Behavior(behavior) => behavior,
+        };
+        let mut cdfg = elaborate(behavior)?;
         let body = match &self.loop_label {
             None => prepare_innermost_loop(&mut cdfg)?,
             Some(label) => {
@@ -422,10 +432,10 @@ impl Synthesizer {
                 linearize_loop(&cdfg, id)?
             }
         };
-        self.run_on_body(body)
+        self.run_on_body(&body)
     }
 
-    fn run_on_body(self, body: LinearBody) -> Result<SynthesisResult, SynthesisError> {
+    fn run_on_body(&self, body: &LinearBody) -> Result<SynthesisResult, SynthesisError> {
         let mut knobs = Knobs {
             max_latency: self.max_latency,
             ii: self.ii,
@@ -438,7 +448,7 @@ impl Synthesizer {
         let mut attempt = 0u32;
         loop {
             attempt += 1;
-            let last = match self.attempt(&body, &knobs) {
+            let last = match self.attempt(body, &knobs) {
                 Ok(mut result) => {
                     result.recovery = trace;
                     return Ok(result);
@@ -634,8 +644,8 @@ fn next_action(
     match err {
         SynthesisError::Scheduling(e) => {
             let worst_slack_ps = match e {
-                hls_sched::SchedError::Overconstrained { worst_slack_ps, .. } => *worst_slack_ps,
-                hls_sched::SchedError::BudgetExhausted { .. } => 0.0,
+                hls_sched::SchedError::Overconstrained { .. }
+                | hls_sched::SchedError::BudgetExhausted { .. } => e.worst_slack_ps(),
                 // the scheduler names the feasible II — jump straight to it
                 hls_sched::SchedError::InfeasibleIi { requested, minimum } => {
                     return (policy.allow_ii_fallback && minimum > requested).then_some(
@@ -696,63 +706,6 @@ fn timing_only_denies(report: &LintReport) -> bool {
             .iter()
             .filter(|d| d.severity == Severity::Deny)
             .all(|d| matches!(d.lint, Lint::SetupViolation | Lint::RewriteRoundLimit))
-}
-
-/// Synthesis driver over an already-linearized loop body (used by the
-/// exploration experiments, which generate bodies directly).
-#[derive(Clone, Debug)]
-pub struct BodySynthesizer {
-    body: LinearBody,
-    inner: Synthesizer,
-}
-
-impl BodySynthesizer {
-    /// Sets the clock period in picoseconds.
-    pub fn clock_ps(mut self, period_ps: f64) -> Self {
-        self.inner = self.inner.clock_ps(period_ps);
-        self
-    }
-
-    /// Sets the latency bounds.
-    pub fn latency_bounds(mut self, min: u32, max: u32) -> Self {
-        self.inner = self.inner.latency_bounds(min, max);
-        self
-    }
-
-    /// Requests pipelining with the given initiation interval.
-    pub fn pipeline(mut self, ii: u32) -> Self {
-        self.inner = self.inner.pipeline(ii);
-        self
-    }
-
-    /// Differentially verifies the produced schedule (see
-    /// [`Synthesizer::verify`]).
-    pub fn verify(mut self, vectors: usize) -> Self {
-        self.inner = self.inner.verify(vectors);
-        self
-    }
-
-    /// Overrides the netlist analyzer's configuration (see
-    /// [`Synthesizer::lint_config`]).
-    pub fn lint_config(mut self, config: LintConfig) -> Self {
-        self.inner = self.inner.lint_config(config);
-        self
-    }
-
-    /// Arms the recovery ladder (see [`Synthesizer::recover`]).
-    pub fn recover(mut self, policy: RecoveryPolicy) -> Self {
-        self.inner = self.inner.recover(policy);
-        self
-    }
-
-    /// Runs the flow on the body.
-    ///
-    /// # Errors
-    /// Returns a [`SynthesisError`] wrapping the first stage that failed.
-    pub fn run(self) -> Result<SynthesisResult, SynthesisError> {
-        let BodySynthesizer { body, inner } = self;
-        inner.run_on_body(body)
-    }
 }
 
 #[cfg(test)]

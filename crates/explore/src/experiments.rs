@@ -1,19 +1,19 @@
 //! Experiment drivers: one function per table / figure of the paper.
 //!
-//! Every driver returns a structured, serializable result and can render the
-//! same rows the paper prints. The benchmark crate calls these functions; the
+//! Every driver returns a structured result and can render the same rows
+//! the paper prints. The benchmark crate calls these functions; the
 //! integration tests run reduced-size versions as smoke tests; EXPERIMENTS.md
 //! records paper-reported vs measured values.
 
 use crate::designs::{idct8_design, synthetic_design, DesignClass};
 use crate::pareto::ExplorationPoint;
 use hls_frontend::designs as paper_designs;
+use hls_ir::json::JsonWriter;
 use hls_ir::LinearBody;
 use hls_netlist::Datapath;
 use hls_opt::linearize::prepare_innermost_loop;
 use hls_sched::{Schedule, Scheduler, SchedulerConfig};
 use hls_tech::{ClockConstraint, ResourceClass, TechLibrary};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// The paper's reference clock for the running example (1600 ps).
@@ -59,7 +59,7 @@ pub fn table1_library() -> Vec<(String, f64)> {
 // ---------------------------------------------------------------------------
 
 /// Result of the Table 2 experiment (sequential schedule of Example 1).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table2Result {
     /// Achieved latency in states.
     pub latency: u32,
@@ -107,7 +107,7 @@ pub fn table2_example1_schedule() -> Table2Result {
 // ---------------------------------------------------------------------------
 
 /// One row of Table 3.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table3Row {
     /// Micro-architecture name (`Sequential`, `Pipe II=2`, `Pipe II=1`).
     pub name: String,
@@ -161,7 +161,7 @@ pub fn table3_microarchitectures() -> Vec<Table3Row> {
 // ---------------------------------------------------------------------------
 
 /// Result of the Table 4 ablation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table4Result {
     /// Per-design percentage area penalty when the SCC-move action is
     /// disabled (the seven most timing-critical designs).
@@ -212,7 +212,7 @@ pub fn table4_scc_move_ablation(num_designs: usize, ops_per_design: usize) -> Ta
 // ---------------------------------------------------------------------------
 
 /// One point of Figure 9.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Figure9Point {
     /// Number of DFG operations in the design.
     pub ops: usize,
@@ -404,25 +404,26 @@ pub fn figure9_sweep_with_budget(
 /// driver). The binder statistics record the counted hardware each point's
 /// schedule costs, so the trajectory tracks area proxies next to time.
 pub fn figure9_json(points: &[Figure9Point], total_seconds: f64) -> String {
-    let mut out = String::from("{\n  \"bench\": \"figure9_scheduling_time\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"ops\": {}, \"seconds\": {:.6}, \"latency\": {}, \"passes\": {}, \"class\": \"{}\", \"fus\": {}, \"regs\": {}, \"mux_inputs\": {}}}{}\n",
-            p.ops,
-            p.seconds,
-            p.latency,
-            p.passes,
-            p.class,
-            p.fus,
-            p.regs,
-            p.mux_inputs,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("bench").string("figure9_scheduling_time");
+    w.key("points").begin_array();
+    for p in points {
+        w.begin_object();
+        w.key("ops").uint(p.ops as u64);
+        w.key("seconds").float(p.seconds, 6);
+        w.key("latency").uint(p.latency.into());
+        w.key("passes").uint(p.passes.into());
+        w.key("class").string(&p.class);
+        w.key("fus").uint(p.fus as u64);
+        w.key("regs").uint(p.regs as u64);
+        w.key("mux_inputs").uint(p.mux_inputs as u64);
+        w.end_object();
     }
-    out.push_str(&format!(
-        "  ],\n  \"total_seconds\": {total_seconds:.6}\n}}\n"
-    ));
-    out
+    w.end_array();
+    w.key("total_seconds").float(total_seconds, 6);
+    w.end_object();
+    w.finish()
 }
 
 /// Writes [`figure9_json`] to the given path (the repo root by convention).

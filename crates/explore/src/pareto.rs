@@ -1,9 +1,7 @@
 //! Pareto-front extraction over exploration points.
 
-use serde::{Deserialize, Serialize};
-
 /// One implementation point of a design-space exploration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ExplorationPoint {
     /// Human-readable label, e.g. `"Pipelined 32 @ 3.2ns"`.
     pub label: String,

@@ -17,6 +17,7 @@
 //! architectural invariant the report names instead of hiding.
 
 use crate::catalog::{documented_site_escape, enumerate, inject, FaultClass, FaultSpec};
+use hls_ir::json::JsonWriter;
 use hls_ir::{LinearBody, PortId};
 use hls_lint::{analyze, Lint, LintConfig, LintContext};
 use hls_nir::{validate, CellId, CellKind, NirModule};
@@ -289,73 +290,58 @@ impl FaultCoverageReport {
         out
     }
 
-    /// Serializes the report to JSON (hand-rolled, same conventions as
-    /// `hls_lint`'s reports: stable field order, three-decimal floats).
+    /// Serializes the report to JSON (stable field order, three-decimal
+    /// floats, as `hls_lint`'s reports).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"module\": \"{}\",", esc(&self.module));
-        let _ = writeln!(out, "  \"clock_ps\": {:.3},", self.clock_ps);
-        let _ = writeln!(out, "  \"vectors\": {},", self.vectors);
-        let _ = writeln!(out, "  \"seed\": {},", self.seed);
-        let _ = writeln!(out, "  \"baseline_ok\": {},", self.baseline_ok);
-        let _ = writeln!(out, "  \"covered\": {},", self.is_covered());
-        let _ = writeln!(out, "  \"mutants\": {},", self.mutants());
-        let _ = writeln!(out, "  \"killed\": {},", self.killed());
-        out.push_str("  \"classes\": [");
-        for (i, s) in self.summaries().iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"class\": \"{}\", \"mutants\": {}, \"killed_validator\": {}, \
-                 \"killed_lint\": {}, \"killed_differential\": {}, \
-                 \"escaped_documented\": {}, \"escaped_undocumented\": {}}}",
-                s.class,
-                s.mutants,
-                s.killed_validator,
-                s.killed_lint,
-                s.killed_differential,
-                s.escaped_documented,
-                s.escaped_undocumented
-            );
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("module").string(&self.module);
+        w.key("clock_ps").float(self.clock_ps, 3);
+        w.key("vectors").uint(self.vectors as u64);
+        w.key("seed").uint(self.seed);
+        w.key("baseline_ok").bool(self.baseline_ok);
+        w.key("covered").bool(self.is_covered());
+        w.key("mutants").uint(self.mutants() as u64);
+        w.key("killed").uint(self.killed() as u64);
+        w.key("classes").begin_array();
+        for s in self.summaries() {
+            w.begin_object();
+            w.key("class").string(s.class.name());
+            w.key("mutants").uint(s.mutants as u64);
+            w.key("killed_validator").uint(s.killed_validator as u64);
+            w.key("killed_lint").uint(s.killed_lint as u64);
+            w.key("killed_differential")
+                .uint(s.killed_differential as u64);
+            w.key("escaped_documented")
+                .uint(s.escaped_documented as u64);
+            w.key("escaped_undocumented")
+                .uint(s.escaped_undocumented as u64);
+            w.end_object();
         }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"outcomes\": [");
-        for (i, o) in self.outcomes.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"class\": \"{}\", \"cell\": {}, \"description\": \"{}\", ",
-                o.spec.class,
-                o.spec.cell.index(),
-                esc(&o.spec.description)
-            );
+        w.end_array();
+        w.key("outcomes").begin_array();
+        for o in &self.outcomes {
+            w.begin_object();
+            w.key("class").string(o.spec.class.name());
+            w.key("cell").uint(o.spec.cell.index() as u64);
+            w.key("description").string(&o.spec.description);
             match &o.outcome {
                 FaultOutcome::Killed { by, detail } => {
-                    let _ = write!(
-                        out,
-                        "\"outcome\": \"killed\", \"by\": \"{}\", \"detail\": \"{}\"}}",
-                        by.name(),
-                        esc(detail)
-                    );
+                    w.key("outcome").string("killed");
+                    w.key("by").string(by.name());
+                    w.key("detail").string(detail);
                 }
                 FaultOutcome::Escaped { documented, reason } => {
-                    let _ = write!(
-                        out,
-                        "\"outcome\": \"escaped\", \"documented\": {}, \"reason\": \"{}\"}}",
-                        documented,
-                        esc(reason)
-                    );
+                    w.key("outcome").string("escaped");
+                    w.key("documented").bool(*documented);
+                    w.key("reason").string(reason);
                 }
             }
+            w.end_object();
         }
-        out.push_str(if self.outcomes.is_empty() {
-            "]\n"
-        } else {
-            "\n  ]\n"
-        });
-        out.push('}');
-        out
+        w.end_array();
+        w.end_object();
+        w.finish()
     }
 }
 
@@ -652,25 +638,6 @@ fn probe_trace(m: &NirModule, cell: CellId, stimulus: &Stimulus) -> Option<Vec<(
     probed.push(CellKind::Output { port, state: 0 }, width, vec![cell, en]);
     let trace = NirSim::new(&probed).ok()?.run(stimulus).ok()?;
     Some(trace.port_writes(PortId::from_raw(port)))
-}
-
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -49,6 +49,7 @@ pub mod dot;
 pub mod error;
 pub mod eval;
 pub mod ids;
+pub mod json;
 pub mod linear;
 pub mod op;
 pub mod predicate;

@@ -1,12 +1,10 @@
-//! Diagnostics and the lint report, with a JSON serialization.
-//!
-//! The JSON is hand-rolled (the workspace's vendored `serde` is a marker
-//! stub, see `vendor/README.md`): a flat object with the module name, the
-//! clock, every diagnostic and the timing summary. Numbers print with three
-//! decimals so reports are byte-stable across runs.
+//! Diagnostics and the lint report, with a JSON serialization written by
+//! [`hls_ir::json::JsonWriter`]. Numbers print with three decimals so
+//! reports are byte-stable across runs.
 
 use crate::config::{Lint, Severity};
 use crate::sta::TimingSummary;
+use hls_ir::json::JsonWriter;
 use hls_nir::CellId;
 use std::fmt::Write as _;
 
@@ -142,101 +140,60 @@ impl LintReport {
         out
     }
 
-    /// Serializes the report to JSON.
+    /// Serializes the report to JSON: the module name, the clock, every
+    /// diagnostic and the timing summary, with three-decimal floats.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"module\": \"{}\",", esc(&self.module));
-        let _ = writeln!(out, "  \"clock_ps\": {},", num(self.clock_ps));
-        out.push_str("  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"lint\": \"{}\", \"severity\": \"{}\", ",
-                d.lint, d.severity
-            );
+        let mut w = JsonWriter::new();
+        w.begin_object();
+        w.key("module").string(&self.module);
+        w.key("clock_ps").float(self.clock_ps, 3);
+        w.key("diagnostics").begin_array();
+        for d in &self.diagnostics {
+            w.begin_object();
+            w.key("lint").string(d.lint.name());
+            w.key("severity").string(d.severity.as_str());
+            w.key("cell");
             match d.cell {
-                Some(c) => {
-                    let _ = write!(out, "\"cell\": {}, ", c.index());
-                }
-                None => out.push_str("\"cell\": null, "),
-            }
+                Some(c) => w.uint(c.index() as u64),
+                None => w.null(),
+            };
+            w.key("name");
             match &d.name {
-                Some(n) => {
-                    let _ = write!(out, "\"name\": \"{}\", ", esc(n));
-                }
-                None => out.push_str("\"name\": null, "),
-            }
-            let _ = write!(out, "\"message\": \"{}\"}}", esc(&d.message));
+                Some(n) => w.string(n),
+                None => w.null(),
+            };
+            w.key("message").string(&d.message);
+            w.end_object();
         }
-        out.push_str(if self.diagnostics.is_empty() {
-            "],\n"
-        } else {
-            "\n  ],\n"
-        });
+        w.end_array();
+        w.key("timing");
         match &self.timing {
-            None => out.push_str("  \"timing\": null\n"),
+            None => {
+                w.null();
+            }
             Some(t) => {
-                out.push_str("  \"timing\": {\n");
-                let _ = writeln!(out, "    \"wns_ps\": {},", num(t.wns_ps));
-                let _ = writeln!(out, "    \"tns_ps\": {},", num(t.tns_ps));
-                let _ = writeln!(out, "    \"endpoints\": {},", t.endpoints.len());
-                out.push_str("    \"critical_path\": [");
-                for (i, s) in t.critical_path.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    let _ = write!(
-                        out,
-                        "      {{\"cell\": {}, \"name\": \"{}\", \"kind\": \"{}\", \
-                         \"width\": {}, \"fanin\": {}, \"incr_ps\": {}, \"arrival_ps\": {}}}",
-                        s.cell.index(),
-                        esc(&s.name),
-                        s.kind,
-                        s.width,
-                        s.fanin,
-                        num(s.incr_ps),
-                        num(s.arrival_ps)
-                    );
+                w.begin_object();
+                w.key("wns_ps").float(t.wns_ps, 3);
+                w.key("tns_ps").float(t.tns_ps, 3);
+                w.key("endpoints").uint(t.endpoints.len() as u64);
+                w.key("critical_path").begin_array();
+                for s in &t.critical_path {
+                    w.begin_object();
+                    w.key("cell").uint(s.cell.index() as u64);
+                    w.key("name").string(&s.name);
+                    w.key("kind").string(s.kind);
+                    w.key("width").uint(s.width.into());
+                    w.key("fanin").uint(s.fanin as u64);
+                    w.key("incr_ps").float(s.incr_ps, 3);
+                    w.key("arrival_ps").float(s.arrival_ps, 3);
+                    w.end_object();
                 }
-                out.push_str(if t.critical_path.is_empty() {
-                    "]\n"
-                } else {
-                    "\n    ]\n"
-                });
-                out.push_str("  }\n");
+                w.end_array();
+                w.end_object();
             }
         }
-        out.push('}');
-        out
-    }
-}
-
-/// Escapes a string for a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Formats a float as a JSON number with three stable decimals.
-fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        // JSON has no infinities; clamp to a sentinel.
-        format!("{:.3}", if v > 0.0 { f64::MAX } else { f64::MIN })
+        w.end_object();
+        w.finish()
     }
 }
 

@@ -70,12 +70,6 @@ pub struct SchedulerConfig {
     /// Whether the relaxation engine may move whole SCCs to later pipeline
     /// stages when facing negative slack (the paper's Table 4 ablates this).
     pub allow_scc_move: bool,
-    /// Whether bindings that would create combinational cycles are rejected
-    /// (Section IV.B.3). Disabling this is only useful for ablation studies.
-    pub avoid_comb_cycles: bool,
-    /// Whether the relaxation engine may add resources beyond the initial
-    /// lower-bound set.
-    pub allow_add_resources: bool,
     /// Region decomposition: `None` (the default) schedules the body as one
     /// monolithic region; `Some` splits it along SCC-condensation cuts so
     /// large designs re-pass only dirty regions (and independent region
@@ -94,8 +88,6 @@ impl SchedulerConfig {
             max_passes: 64,
             deadline: None,
             allow_scc_move: true,
-            avoid_comb_cycles: true,
-            allow_add_resources: true,
             region_decomposition: None,
         }
     }
@@ -113,8 +105,6 @@ impl SchedulerConfig {
             max_passes: 64,
             deadline: None,
             allow_scc_move: true,
-            avoid_comb_cycles: true,
-            allow_add_resources: true,
             region_decomposition: None,
         }
     }

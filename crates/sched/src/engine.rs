@@ -43,9 +43,10 @@
 //!
 //! * `AddState` — every region continues from the previous final state
 //!   (or replays fully if mobility saturation reordered its priorities);
-//! * `AddResource(ty)` — the instance is added to the pool of the region
-//!   owning the restraint that provoked it; only that region re-passes,
-//!   from the first state where a member of `ty`'s class was considered;
+//! * `AddResources { ty, count }` — each instance is added to the pool of
+//!   the region owning a restraint that provoked it; only those regions
+//!   re-pass, from the first state where a member of `ty`'s class was
+//!   considered;
 //! * `MoveScc` — only the region containing the SCC re-passes;
 //! * `ForbidBinding` — only the region containing the op re-passes.
 //!
@@ -682,8 +683,8 @@ impl<'a> Engine<'a> {
 
     /// Applies a relaxation action, dirtying exactly the regions whose next
     /// pass can observe it (each region tracks its own resume watermark).
-    /// `restraints` is the failed pass's restraint list — `AddResource`
-    /// derives the owning region from the restraint that provoked it.
+    /// `restraints` is the failed pass's restraint list — `AddResources`
+    /// derives the owning regions from the restraints that provoked it.
     pub(crate) fn apply(&mut self, action: &RelaxAction, restraints: &[Restraint]) {
         match action {
             RelaxAction::AddState => {
@@ -716,17 +717,9 @@ impl<'a> Engine<'a> {
                     }
                 }
             }
-            RelaxAction::AddResource(ty) => {
-                let owner = crate::region::owner_region(restraints, ty, &self.plan.region_of);
-                self.add_instance(ty, owner);
-            }
-            RelaxAction::AddResourceBatch { ty, count } => {
-                let owners = crate::region::batch_owner_regions(
-                    restraints,
-                    ty,
-                    *count,
-                    &self.plan.region_of,
-                );
+            RelaxAction::AddResources { ty, count } => {
+                let owners =
+                    crate::region::owner_regions(restraints, ty, *count, &self.plan.region_of);
                 for owner in owners {
                     self.add_instance(ty, owner);
                 }
@@ -1358,39 +1351,37 @@ impl<'a> Engine<'a> {
             }
             // combinational cycle check (only same-region producers can
             // chain in the same state — cross-region values are registered)
-            if self.config.avoid_comb_cycles {
-                let mut creates_cycle = false;
-                for sig in &op.inputs {
-                    if sig.distance > 0 {
-                        continue;
-                    }
-                    let Some(p) = sig.producer() else { continue };
-                    if self.plan.region_of[p.index()] != ridx {
-                        continue;
-                    }
-                    if let Some(sp) = cur.frame.placed[self.plan.local_of[p.index()] as usize] {
-                        if sp.state == state {
-                            if let Some(rp) = sp.resource {
-                                if comb_would_create_cycle(
-                                    &cur.comb_succ,
-                                    &mut cur.comb_mark,
-                                    &mut cur.comb_epoch,
-                                    self.inst_local[rp.index()],
-                                    self.inst_local[res_id.index()],
-                                ) {
-                                    creates_cycle = true;
-                                }
+            let mut creates_cycle = false;
+            for sig in &op.inputs {
+                if sig.distance > 0 {
+                    continue;
+                }
+                let Some(p) = sig.producer() else { continue };
+                if self.plan.region_of[p.index()] != ridx {
+                    continue;
+                }
+                if let Some(sp) = cur.frame.placed[self.plan.local_of[p.index()] as usize] {
+                    if sp.state == state {
+                        if let Some(rp) = sp.resource {
+                            if comb_would_create_cycle(
+                                &cur.comb_succ,
+                                &mut cur.comb_mark,
+                                &mut cur.comb_epoch,
+                                self.inst_local[rp.index()],
+                                self.inst_local[res_id.index()],
+                            ) {
+                                creates_cycle = true;
                             }
                         }
                     }
                 }
-                if creates_cycle {
-                    reasons.push(Restraint::CombCycle {
-                        op: op_id,
-                        resource: res_id,
-                    });
-                    continue;
-                }
+            }
+            if creates_cycle {
+                reasons.push(Restraint::CombCycle {
+                    op: op_id,
+                    resource: res_id,
+                });
+                continue;
             }
             // accept the binding
             for sig in &op.inputs {

@@ -1,5 +1,6 @@
 //! Error type of the scheduler.
 
+use crate::relax::{RelaxAction, Restraint};
 use std::error::Error;
 use std::fmt;
 
@@ -14,15 +15,8 @@ pub enum SchedError {
         latency: u32,
         /// Number of scheduling passes executed.
         passes: u32,
-        /// Human-readable diagnostics (outstanding restraints).
-        details: String,
-        /// The most negative per-operation slack among the outstanding
-        /// restraints, in picoseconds — how far the worst operation missed
-        /// the clock. `0.0` when the failure is not slack-driven (resource
-        /// contention, SCC windows). A caller that wants to *degrade*
-        /// instead of fail can re-run with the clock stretched by this
-        /// amount.
-        worst_slack_ps: f64,
+        /// Outstanding restraints of the last failed pass.
+        restraints: Vec<Restraint>,
     },
     /// The loop body failed validation before scheduling.
     InvalidBody {
@@ -51,20 +45,60 @@ pub enum SchedError {
         latency: u32,
         /// Number of scheduling passes executed.
         passes: u32,
-        /// Outstanding restraints of the last failed pass, rendered.
-        restraints: Vec<String>,
-        /// Relaxation actions applied before the budget ran out, rendered.
-        actions: Vec<String>,
+        /// Outstanding restraints of the last failed pass.
+        restraints: Vec<Restraint>,
+        /// Relaxation actions applied before the budget ran out.
+        actions: Vec<RelaxAction>,
     },
+}
+
+impl SchedError {
+    /// The most negative per-operation slack among the restraints of a
+    /// [`SchedError::Overconstrained`] verdict, in picoseconds — how far the
+    /// worst operation missed the clock. `0.0` when the failure is not
+    /// slack-driven (resource contention, SCC windows) and for every other
+    /// error, [`SchedError::BudgetExhausted`] included: a budget cut-off is
+    /// no verdict on the spec. A caller that wants to *degrade* instead of
+    /// fail can re-run with the clock stretched by this amount.
+    pub fn worst_slack_ps(&self) -> f64 {
+        let SchedError::Overconstrained { restraints, .. } = self else {
+            return 0.0;
+        };
+        restraints
+            .iter()
+            .filter_map(|r| match r {
+                Restraint::NegativeSlack { slack_ps, .. } => Some(*slack_ps),
+                _ => None,
+            })
+            .fold(0.0, f64::min)
+    }
+}
+
+/// Writes `items` separated by `sep`.
+fn join<T: fmt::Display>(f: &mut fmt::Formatter<'_>, items: &[T], sep: &str) -> fmt::Result {
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(sep)?;
+        }
+        write!(f, "{item}")?;
+    }
+    Ok(())
 }
 
 impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchedError::Overconstrained { latency, passes, details, .. } => write!(
-                f,
-                "specification is overconstrained (gave up at latency {latency} after {passes} passes): {details}"
-            ),
+            SchedError::Overconstrained {
+                latency,
+                passes,
+                restraints,
+            } => {
+                write!(
+                    f,
+                    "specification is overconstrained (gave up at latency {latency} after {passes} passes): "
+                )?;
+                join(f, restraints, "; ")
+            }
             SchedError::InvalidBody { message } => write!(f, "invalid loop body: {message}"),
             SchedError::InfeasibleIi { requested, minimum } => write!(
                 f,
@@ -82,10 +116,12 @@ impl fmt::Display for SchedError {
                     "scheduling budget exhausted ({budget}) at latency {latency} after {passes} pass(es)"
                 )?;
                 if !restraints.is_empty() {
-                    write!(f, "; outstanding: {}", restraints.join("; "))?;
+                    f.write_str("; outstanding: ")?;
+                    join(f, restraints, "; ")?;
                 }
                 if !actions.is_empty() {
-                    write!(f, "; applied: {}", actions.join(", "))?;
+                    f.write_str("; applied: ")?;
+                    join(f, actions, ", ")?;
                 }
                 Ok(())
             }
@@ -106,16 +142,34 @@ impl From<hls_ir::IrError> for SchedError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hls_ir::OpId;
 
     #[test]
     fn display_nonempty() {
         let e = SchedError::Overconstrained {
             latency: 3,
             passes: 7,
-            details: "x".into(),
-            worst_slack_ps: -45.0,
+            restraints: vec![
+                Restraint::NegativeSlack {
+                    op: OpId::from_raw(1),
+                    slack_ps: -45.0,
+                },
+                Restraint::StateExhausted {
+                    op: OpId::from_raw(2),
+                },
+            ],
         };
-        assert!(e.to_string().contains("overconstrained"));
+        assert_eq!(
+            e.to_string(),
+            format!(
+                "specification is overconstrained (gave up at latency 3 after 7 passes): \
+                 negative slack of -45 ps on {}; {} waits on a region-boundary value \
+                 registered in the final state",
+                OpId::from_raw(1),
+                OpId::from_raw(2)
+            )
+        );
+        assert_eq!(e.worst_slack_ps(), -45.0);
         let e = SchedError::InfeasibleIi {
             requested: 1,
             minimum: 3,
@@ -129,12 +183,16 @@ mod tests {
             budget: "2 scheduling passes".into(),
             latency: 4,
             passes: 2,
-            restraints: vec!["negative slack on op mul1".into()],
-            actions: vec!["add state".into()],
+            restraints: vec![Restraint::NegativeSlack {
+                op: OpId::from_raw(1),
+                slack_ps: -120.0,
+            }],
+            actions: vec![RelaxAction::AddState],
         };
         let s = e.to_string();
         assert!(s.contains("budget exhausted"), "{s}");
-        assert!(s.contains("negative slack on op mul1"), "{s}");
-        assert!(s.contains("add state"), "{s}");
+        assert!(s.contains("negative slack of -120 ps"), "{s}");
+        assert!(s.contains("applied: add state"), "{s}");
+        assert_eq!(e.worst_slack_ps(), 0.0, "a budget cut-off is no verdict");
     }
 }

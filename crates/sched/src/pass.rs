@@ -423,32 +423,30 @@ pub fn schedule_pass_reference_with_regions(
                         continue;
                     }
                     // combinational cycle check
-                    if config.avoid_comb_cycles {
-                        let mut creates_cycle = false;
-                        for (i, sig) in op.inputs.iter().enumerate() {
-                            let _ = i;
-                            if sig.distance > 0 {
-                                continue;
-                            }
-                            if let Some(p) = sig.producer() {
-                                if let Some(sp) = placed.get(&p) {
-                                    if sp.state == state {
-                                        if let Some(rp) = sp.resource {
-                                            if comb.would_create_cycle(rp.0, res_id.0) {
-                                                creates_cycle = true;
-                                            }
+                    let mut creates_cycle = false;
+                    for (i, sig) in op.inputs.iter().enumerate() {
+                        let _ = i;
+                        if sig.distance > 0 {
+                            continue;
+                        }
+                        if let Some(p) = sig.producer() {
+                            if let Some(sp) = placed.get(&p) {
+                                if sp.state == state {
+                                    if let Some(rp) = sp.resource {
+                                        if comb.would_create_cycle(rp.0, res_id.0) {
+                                            creates_cycle = true;
                                         }
                                     }
                                 }
                             }
                         }
-                        if creates_cycle {
-                            reasons.push(Restraint::CombCycle {
-                                op: op_id,
-                                resource: res_id,
-                            });
-                            continue;
-                        }
+                    }
+                    if creates_cycle {
+                        reasons.push(Restraint::CombCycle {
+                            op: op_id,
+                            resource: res_id,
+                        });
+                        continue;
                     }
                     // accept the binding
                     for sig in &op.inputs {

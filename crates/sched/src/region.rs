@@ -419,37 +419,14 @@ pub fn concat_pools(pools: &[ResourceSet]) -> (ResourceSet, Vec<u32>) {
     (set, inst_region)
 }
 
-/// The region that receives a new instance of `ty` after an `AddResource`
-/// action: the region of the first resource-contention restraint naming the
-/// type, skipping ops that also have negative slack — the same filter
-/// [`choose_action`](crate::relax::choose_action) applied when it proposed
-/// the action, so the owner is the op the action was created for. Both
-/// scheduling drivers derive the owner from the same restraint list and
-/// therefore agree.
-pub(crate) fn owner_region(restraints: &[Restraint], ty: &ResourceType, region_of: &[u32]) -> u32 {
-    let name = ty.name();
-    for r in restraints {
-        if let Restraint::ResourceContention { op, ty: rty } = r {
-            if rty.name() == name {
-                let also_slack = restraints
-                    .iter()
-                    .any(|o| matches!(o, Restraint::NegativeSlack { op: o2, .. } if o2 == op));
-                if also_slack {
-                    continue;
-                }
-                return region_of.get(op.index()).copied().unwrap_or(0);
-            }
-        }
-    }
-    0
-}
-
-/// The regions that receive the instances of an `AddResourceBatch` action:
+/// The regions that receive the instances of an `AddResources` action:
 /// one per distinct operation with a contention restraint naming the type, in
 /// restraint order, padded with region 0 if the restraint list yields fewer
-/// than `count` owners. Both scheduling drivers derive the owners from the
-/// same restraint list and therefore agree.
-pub(crate) fn batch_owner_regions(
+/// than `count` owners. Pure-contention ops come first, so a single instance
+/// goes to the op [`choose_action`](crate::relax::choose_action) proposed it
+/// for. Both scheduling drivers derive the owners from the same restraint
+/// list and therefore agree.
+pub(crate) fn owner_regions(
     restraints: &[Restraint],
     ty: &ResourceType,
     count: usize,

@@ -8,7 +8,7 @@
 
 use crate::config::SchedulerConfig;
 use hls_ir::OpId;
-use hls_tech::{ResourceInstanceId, ResourceSet, ResourceType, TechLibrary};
+use hls_tech::{ResourceInstanceId, ResourceType, TechLibrary};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
@@ -67,19 +67,6 @@ impl Restraint {
     }
 }
 
-/// The most negative per-operation slack among `restraints`, or `0.0` when
-/// none of them is slack-driven. This is the clock stretch that would make
-/// the worst failing operation fit.
-pub fn worst_negative_slack(restraints: &[Restraint]) -> f64 {
-    restraints
-        .iter()
-        .filter_map(|r| match r {
-            Restraint::NegativeSlack { slack_ps, .. } => Some(*slack_ps),
-            _ => None,
-        })
-        .fold(0.0, f64::min)
-}
-
 impl fmt::Display for Restraint {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -116,16 +103,15 @@ impl fmt::Display for Restraint {
 pub enum RelaxAction {
     /// Add one state to the loop body (increase the latency / LI).
     AddState,
-    /// Allocate one more instance of the given resource type.
-    AddResource(ResourceType),
-    /// Allocate several instances of the given resource type in one pass —
-    /// one per operation currently failing on contention for it. Emitted by
-    /// the contention-with-timing deadlock escape so large designs converge
-    /// in a handful of relaxation passes instead of one pass per operation.
-    AddResourceBatch {
+    /// Allocate `count` more instances of the given resource type: one
+    /// while contention is local, a demand-sized batch when it is systemic
+    /// or when the contention-with-timing deadlock escape fires, so large
+    /// designs converge in a handful of relaxation passes instead of one
+    /// pass per operation.
+    AddResources {
         /// The type to add instances of.
         ty: ResourceType,
-        /// How many instances to add (one per distinct contended operation).
+        /// How many instances to add (at least one).
         count: usize,
     },
     /// Move a whole SCC to the next pipeline stage (timing-driven kernel
@@ -148,8 +134,8 @@ impl fmt::Display for RelaxAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RelaxAction::AddState => write!(f, "add state"),
-            RelaxAction::AddResource(ty) => write!(f, "add resource {ty}"),
-            RelaxAction::AddResourceBatch { ty, count } => {
+            RelaxAction::AddResources { ty, count: 1 } => write!(f, "add resource {ty}"),
+            RelaxAction::AddResources { ty, count } => {
                 write!(f, "add {count} instances of resource {ty}")
             }
             RelaxAction::MoveScc { scc_index } => {
@@ -164,16 +150,16 @@ impl fmt::Display for RelaxAction {
 
 /// Above this many distinct contended operations for one resource type, the
 /// expert system stops one-at-a-time instance refinement and proposes a
-/// demand-sized [`RelaxAction::AddResourceBatch`] instead. Small enough that
-/// the hand-sized paper examples always stay on the historical single-add
-/// path.
+/// demand-sized [`RelaxAction::AddResources`] batch instead. Small enough
+/// that the hand-sized paper examples always stay on the historical
+/// single-add path; a demand-sized batch for every type (no threshold)
+/// changes the QoR of mid-size designs.
 const BATCH_THRESHOLD: usize = 8;
 
 /// Chooses the best relaxation action for a set of restraints.
 ///
 /// Returns `None` when no applicable action addresses any restraint — the
 /// specification is over-constrained.
-#[allow(clippy::too_many_arguments)]
 pub fn choose_action(
     restraints: &[Restraint],
     config: &SchedulerConfig,
@@ -181,7 +167,6 @@ pub fn choose_action(
     latency: u32,
     num_sccs: usize,
     scc_stage: &[u32],
-    resources: &ResourceSet,
     failed_ops: &[OpId],
 ) -> Option<RelaxAction> {
     // Hashed lookups keep a pass over N restraints linear; the scores they
@@ -223,46 +208,60 @@ pub fn choose_action(
         }
     }
 
-    // Add resources, one candidate per contended type whose ops do not also
-    // fail on timing (adding hardware cannot fix negative slack). Types are
-    // merged at `name()` granularity (class + operand widths), as the
-    // original expert system did; the ordered map makes the candidate order
-    // — which breaks score ties — deterministic. When contention is systemic
-    // (more than [`BATCH_THRESHOLD`] distinct starving ops) the candidate
-    // becomes a batch sized by demand — each instance offers one slot per
-    // state, so `distinct / slots` instances cover the backlog — instead of
-    // the one-at-a-time endgame refinement, which would need a pass per op.
-    if config.allow_add_resources {
-        let mut by_type: BTreeMap<String, (ResourceType, usize, f64)> = BTreeMap::new();
-        let mut seen: HashSet<(String, OpId)> = HashSet::new();
-        for r in restraints {
-            if let Restraint::ResourceContention { op, ty } = r {
-                if slack_ops.contains(op) {
-                    continue;
-                }
-                let name = ty.name();
-                let entry = by_type
-                    .entry(name.clone())
-                    .or_insert_with(|| (ty.clone(), 0, 0.0));
-                if seen.insert((name, *op)) {
-                    entry.1 += 1;
-                }
-                entry.2 += weight(r);
+    // Contention demand per resource type, merged at `name()` granularity
+    // (class + operand widths) as the original expert system did; the
+    // ordered map makes the candidate order — which breaks score ties —
+    // deterministic. `pure_*` counts only the ops that do not also fail on
+    // timing.
+    struct Demand {
+        ty: ResourceType,
+        ops: usize,
+        gain: f64,
+        pure_ops: usize,
+        pure_gain: f64,
+    }
+    let mut demand: BTreeMap<String, Demand> = BTreeMap::new();
+    let mut seen: HashSet<(String, OpId)> = HashSet::new();
+    for r in restraints {
+        if let Restraint::ResourceContention { op, ty } = r {
+            let name = ty.name();
+            let d = demand.entry(name.clone()).or_insert_with(|| Demand {
+                ty: ty.clone(),
+                ops: 0,
+                gain: 0.0,
+                pure_ops: 0,
+                pure_gain: 0.0,
+            });
+            let new_op = usize::from(seen.insert((name, *op)));
+            d.ops += new_op;
+            d.gain += weight(r);
+            if !slack_ops.contains(op) {
+                d.pure_ops += new_op;
+                d.pure_gain += weight(r);
             }
         }
-        let slots = config.ii_or(latency).max(1) as usize;
-        for (_, (ty, distinct, gain)) in by_type {
-            let cost = lib.area(&ty) / 5000.0;
-            let action = if distinct <= BATCH_THRESHOLD {
-                RelaxAction::AddResource(ty)
-            } else {
-                RelaxAction::AddResourceBatch {
-                    ty,
-                    count: distinct.div_ceil(slots).max(1),
-                }
-            };
-            candidates.push((action, gain - cost));
-        }
+    }
+    let cost = |ty: &ResourceType| lib.area(ty) / 5000.0;
+
+    // Add resources, one candidate per contended type with pure-contention
+    // ops (adding hardware cannot fix negative slack). When contention is
+    // systemic (more than [`BATCH_THRESHOLD`] distinct starving ops) the
+    // candidate is a batch sized by demand — each instance offers one slot
+    // per state, so `distinct / slots` instances cover the backlog —
+    // instead of the one-at-a-time endgame refinement, which would need a
+    // pass per op.
+    let slots = config.ii_or(latency).max(1) as usize;
+    for d in demand.values().filter(|d| d.pure_ops > 0) {
+        let count = if d.pure_ops <= BATCH_THRESHOLD {
+            1
+        } else {
+            d.pure_ops.div_ceil(slots)
+        };
+        let action = RelaxAction::AddResources {
+            ty: d.ty.clone(),
+            count,
+        };
+        candidates.push((action, d.pure_gain - cost(&d.ty)));
     }
 
     // Move an SCC to the next stage (pipelined only). Deterministic
@@ -333,28 +332,19 @@ pub fn choose_action(
     // propose the hardware anyway instead of declaring the specification
     // over-constrained. Only reached when the normal candidate set is empty,
     // so no previously-succeeding relaxation sequence changes.
-    if candidates.is_empty() && config.allow_add_resources {
-        let mut by_type: BTreeMap<String, (ResourceType, usize, f64)> = BTreeMap::new();
-        let mut seen: HashSet<(String, OpId)> = HashSet::new();
-        for r in restraints {
-            if let Restraint::ResourceContention { op, ty } = r {
-                let name = ty.name();
-                let entry = by_type
-                    .entry(name.clone())
-                    .or_insert_with(|| (ty.clone(), 0, 0.0));
-                if seen.insert((name, *op)) {
-                    entry.1 += 1;
-                }
-                entry.2 += weight(r);
-            }
-        }
-        for (_, (ty, count, gain)) in by_type {
-            let cost = lib.area(&ty) / 5000.0;
-            candidates.push((RelaxAction::AddResourceBatch { ty, count }, gain - cost));
+    // Every contended type is then slack-bound, so each one's demand
+    // covers all of its ops.
+    if candidates.is_empty() {
+        for d in demand.into_values() {
+            let score = d.gain - cost(&d.ty);
+            let action = RelaxAction::AddResources {
+                ty: d.ty,
+                count: d.ops,
+            };
+            candidates.push((action, score));
         }
     }
 
-    let _ = resources; // reserved for smarter cost models
     candidates
         .into_iter()
         .filter(|(_, score)| *score > f64::NEG_INFINITY)
@@ -396,17 +386,8 @@ mod tests {
                 slack_ps: -200.0,
             },
         ];
-        let action = choose_action(
-            &restraints,
-            &cfg_seq(),
-            &lib,
-            1,
-            0,
-            &[],
-            &ResourceSet::new(),
-            &[op1, op2],
-        )
-        .expect("an action");
+        let action = choose_action(&restraints, &cfg_seq(), &lib, 1, 0, &[], &[op1, op2])
+            .expect("an action");
         assert_eq!(action, RelaxAction::AddState);
     }
 
@@ -419,20 +400,36 @@ mod tests {
             ty: mul32(),
         }];
         // latency already at max → AddState unavailable
-        let action = choose_action(
-            &restraints,
-            &cfg_seq(),
-            &lib,
-            3,
-            0,
-            &[],
-            &ResourceSet::new(),
-            &[op1],
-        )
-        .expect("an action");
+        let action =
+            choose_action(&restraints, &cfg_seq(), &lib, 3, 0, &[], &[op1]).expect("an action");
         assert!(
-            matches!(action, RelaxAction::AddResource(ty) if ty.class == ResourceClass::Multiplier)
+            matches!(action, RelaxAction::AddResources { ty, count: 1 } if ty.class == ResourceClass::Multiplier)
         );
+    }
+
+    #[test]
+    fn systemic_contention_adds_a_demand_sized_batch_above_the_threshold() {
+        // Latency is at max with 3 slots: up to BATCH_THRESHOLD distinct
+        // contended ops add one instance at a time; beyond it the batch
+        // covers the backlog, ⌈distinct / slots⌉ instances.
+        let lib = TechLibrary::artisan_90nm_typical();
+        for (distinct, want) in [(5, 1), (9, 3)] {
+            let ops: Vec<OpId> = (0..distinct).map(OpId::from_raw).collect();
+            let restraints: Vec<Restraint> = ops
+                .iter()
+                .map(|&op| Restraint::ResourceContention { op, ty: mul32() })
+                .collect();
+            let action =
+                choose_action(&restraints, &cfg_seq(), &lib, 3, 0, &[], &ops).expect("an action");
+            assert_eq!(
+                action,
+                RelaxAction::AddResources {
+                    ty: mul32(),
+                    count: want
+                },
+                "{distinct} contended ops"
+            );
+        }
     }
 
     #[test]
@@ -440,7 +437,7 @@ mod tests {
         let lib = TechLibrary::artisan_90nm_typical();
         let op1 = OpId::from_raw(1);
         let op2 = OpId::from_raw(2);
-        // Both ops fail on contention *and* timing: the normal AddResource
+        // Both ops fail on contention *and* timing: the normal AddResources
         // source suppresses them and latency is at max, so without the
         // escape the specification would be declared over-constrained. The
         // escape proposes one instance per contended op in a single action.
@@ -462,21 +459,12 @@ mod tests {
                 slack_ps: -120.0,
             },
         ];
-        let action = choose_action(
-            &restraints,
-            &cfg_seq(),
-            &lib,
-            3,
-            0,
-            &[],
-            &ResourceSet::new(),
-            &[op1, op2],
-        )
-        .expect("an action");
+        let action = choose_action(&restraints, &cfg_seq(), &lib, 3, 0, &[], &[op1, op2])
+            .expect("an action");
         assert!(
             matches!(
                 &action,
-                RelaxAction::AddResourceBatch { ty, count: 2 }
+                RelaxAction::AddResources { ty, count: 2 }
                     if ty.class == ResourceClass::Multiplier
             ),
             "expected a 2-instance batch, got {action}"
@@ -495,17 +483,7 @@ mod tests {
                 slack_ps: -300.0,
             },
         ];
-        let action = choose_action(
-            &restraints,
-            &cfg,
-            &lib,
-            3,
-            1,
-            &[],
-            &ResourceSet::new(),
-            &[op],
-        )
-        .expect("an action");
+        let action = choose_action(&restraints, &cfg, &lib, 3, 1, &[], &[op]).expect("an action");
         assert_eq!(action, RelaxAction::MoveScc { scc_index: 0 });
     }
 
@@ -516,16 +494,7 @@ mod tests {
             .without_scc_move();
         let op = OpId::from_raw(3);
         let restraints = vec![Restraint::SccWindow { scc_index: 0, op }];
-        let action = choose_action(
-            &restraints,
-            &cfg,
-            &lib,
-            3,
-            1,
-            &[],
-            &ResourceSet::new(),
-            &[op],
-        );
+        let action = choose_action(&restraints, &cfg, &lib, 3, 1, &[], &[op]);
         assert!(!matches!(action, Some(RelaxAction::MoveScc { .. })));
     }
 
@@ -535,24 +504,15 @@ mod tests {
         let op = OpId::from_raw(5);
         let res = ResourceInstanceId(0);
         let restraints = vec![Restraint::CombCycle { op, resource: res }];
-        let action = choose_action(
-            &restraints,
-            &cfg_seq(),
-            &lib,
-            3,
-            0,
-            &[],
-            &ResourceSet::new(),
-            &[op],
-        )
-        .expect("an action");
+        let action =
+            choose_action(&restraints, &cfg_seq(), &lib, 3, 0, &[], &[op]).expect("an action");
         assert_eq!(action, RelaxAction::ForbidBinding { op, resource: res });
     }
 
     #[test]
     fn no_action_when_nothing_applies() {
         let lib = TechLibrary::artisan_90nm_typical();
-        let action = choose_action(&[], &cfg_seq(), &lib, 3, 0, &[], &ResourceSet::new(), &[]);
+        let action = choose_action(&[], &cfg_seq(), &lib, 3, 0, &[], &[]);
         assert!(action.is_none());
     }
 
@@ -566,5 +526,18 @@ mod tests {
         assert_eq!(r.op(), OpId::from_raw(2));
         let a = RelaxAction::AddState;
         assert_eq!(a.to_string(), "add state");
+        let one = RelaxAction::AddResources {
+            ty: mul32(),
+            count: 1,
+        };
+        assert_eq!(one.to_string(), format!("add resource {}", mul32()));
+        let two = RelaxAction::AddResources {
+            ty: mul32(),
+            count: 2,
+        };
+        assert_eq!(
+            two.to_string(),
+            format!("add 2 instances of resource {}", mul32())
+        );
     }
 }

@@ -15,8 +15,8 @@ use crate::error::SchedError;
 use crate::pass::{
     schedule_pass, schedule_pass_reference_with_regions, PassInput, PassOutcome, PassRegions,
 };
-use crate::region::{batch_owner_regions, concat_pools, owner_region, region_pools, RegionPlan};
-use crate::relax::{choose_action, worst_negative_slack, RelaxAction};
+use crate::region::{concat_pools, owner_regions, region_pools, RegionPlan};
+use crate::relax::{choose_action, RelaxAction, Restraint};
 use crate::resources::initial_resource_set;
 use hls_ir::analysis::{sccs, Scc};
 use hls_ir::{LinearBody, OpId};
@@ -121,18 +121,18 @@ impl<'a> Scheduler<'a> {
             }
         };
         let mut actions: Vec<RelaxAction> = Vec::new();
-        let mut last_restraints: Vec<String> = Vec::new();
+        let mut last_restraints: Vec<Restraint> = Vec::new();
 
         for pass_no in 1..=self.config.max_passes {
             if let Some(deadline) = self.config.deadline {
                 if pass_no > 1 && start.elapsed() >= deadline {
-                    return Err(budget_exhausted(
-                        format!("deadline of {deadline:?}"),
-                        engine.latency,
-                        pass_no - 1,
-                        last_restraints,
-                        &actions,
-                    ));
+                    return Err(SchedError::BudgetExhausted {
+                        budget: format!("deadline of {deadline:?}"),
+                        latency: engine.latency,
+                        passes: pass_no - 1,
+                        restraints: last_restraints,
+                        actions,
+                    });
                 }
             }
             match engine.run_pass() {
@@ -147,7 +147,6 @@ impl<'a> Scheduler<'a> {
                     });
                 }
                 EngineOutcome::Failure(failure) => {
-                    last_restraints = failure.restraints.iter().map(|r| r.to_string()).collect();
                     let scc_stage: Vec<u32> =
                         engine.scc_stage().iter().map(|s| s.unwrap_or(0)).collect();
                     let action = choose_action(
@@ -157,29 +156,28 @@ impl<'a> Scheduler<'a> {
                         engine.latency,
                         components.len(),
                         &scc_stage,
-                        &engine.resources,
                         &failure.failed_ops,
                     );
                     let Some(action) = action else {
                         return Err(SchedError::Overconstrained {
                             latency: engine.latency,
                             passes: pass_no,
-                            details: last_restraints.join("; "),
-                            worst_slack_ps: worst_negative_slack(&failure.restraints),
+                            restraints: failure.restraints,
                         });
                     };
                     engine.apply(&action, &failure.restraints);
                     actions.push(action);
+                    last_restraints = failure.restraints;
                 }
             }
         }
-        Err(budget_exhausted(
-            format!("{} scheduling passes", self.config.max_passes),
-            engine.latency,
-            self.config.max_passes,
-            last_restraints,
-            &actions,
-        ))
+        Err(SchedError::BudgetExhausted {
+            budget: format!("{} scheduling passes", self.config.max_passes),
+            latency: engine.latency,
+            passes: self.config.max_passes,
+            restraints: last_restraints,
+            actions,
+        })
     }
 
     /// The retained reference driver: re-runs the original from-scratch
@@ -212,18 +210,18 @@ impl<'a> Scheduler<'a> {
         let mut forbidden: HashSet<(OpId, ResourceInstanceId)> = HashSet::new();
         let mut scc_stage: HashMap<usize, u32> = HashMap::new();
         let mut actions: Vec<RelaxAction> = Vec::new();
-        let mut last_restraints: Vec<String> = Vec::new();
+        let mut last_restraints: Vec<Restraint> = Vec::new();
 
         for pass_no in 1..=self.config.max_passes {
             if let Some(deadline) = self.config.deadline {
                 if pass_no > 1 && start.elapsed() >= deadline {
-                    return Err(budget_exhausted(
-                        format!("deadline of {deadline:?}"),
+                    return Err(SchedError::BudgetExhausted {
+                        budget: format!("deadline of {deadline:?}"),
                         latency,
-                        pass_no - 1,
-                        last_restraints,
-                        &actions,
-                    ));
+                        passes: pass_no - 1,
+                        restraints: last_restraints,
+                        actions,
+                    });
                 }
             }
             let input = PassInput {
@@ -251,7 +249,6 @@ impl<'a> Scheduler<'a> {
                     });
                 }
                 PassOutcome::Failure(failure) => {
-                    last_restraints = failure.restraints.iter().map(|r| r.to_string()).collect();
                     let scc_stage_dense: Vec<u32> = (0..components.len())
                         .map(|i| scc_stage.get(&i).copied().unwrap_or(0))
                         .collect();
@@ -262,44 +259,28 @@ impl<'a> Scheduler<'a> {
                         latency,
                         components.len(),
                         &scc_stage_dense,
-                        &resources,
                         &failure.failed_ops,
                     );
                     let Some(action) = action else {
                         return Err(SchedError::Overconstrained {
                             latency,
                             passes: pass_no,
-                            details: last_restraints.join("; "),
-                            worst_slack_ps: worst_negative_slack(&failure.restraints),
+                            restraints: failure.restraints,
                         });
                     };
                     match &action {
                         RelaxAction::AddState => latency += 1,
-                        RelaxAction::AddResource(ty) => {
-                            resources.add(ty.clone());
-                            if let Some(plan) = &region_plan {
-                                inst_region.push(owner_region(
-                                    &failure.restraints,
-                                    ty,
-                                    &plan.region_of,
-                                ));
+                        RelaxAction::AddResources { ty, count } => {
+                            for _ in 0..*count {
+                                resources.add(ty.clone());
                             }
-                        }
-                        RelaxAction::AddResourceBatch { ty, count } => {
                             if let Some(plan) = &region_plan {
-                                for owner in batch_owner_regions(
+                                inst_region.extend(owner_regions(
                                     &failure.restraints,
                                     ty,
                                     *count,
                                     &plan.region_of,
-                                ) {
-                                    resources.add(ty.clone());
-                                    inst_region.push(owner);
-                                }
-                            } else {
-                                for _ in 0..*count {
-                                    resources.add(ty.clone());
-                                }
+                                ));
                             }
                         }
                         RelaxAction::MoveScc { scc_index } => {
@@ -310,35 +291,17 @@ impl<'a> Scheduler<'a> {
                         }
                     }
                     actions.push(action);
+                    last_restraints = failure.restraints;
                 }
             }
         }
-        Err(budget_exhausted(
-            format!("{} scheduling passes", self.config.max_passes),
+        Err(SchedError::BudgetExhausted {
+            budget: format!("{} scheduling passes", self.config.max_passes),
             latency,
-            self.config.max_passes,
-            last_restraints,
-            &actions,
-        ))
-    }
-}
-
-/// Builds the [`SchedError::BudgetExhausted`] partial-diagnostics payload
-/// shared by both drivers: the last failed pass's restraints plus every
-/// relaxation action applied so far, rendered.
-fn budget_exhausted(
-    budget: String,
-    latency: u32,
-    passes: u32,
-    restraints: Vec<String>,
-    actions: &[RelaxAction],
-) -> SchedError {
-    SchedError::BudgetExhausted {
-        budget,
-        latency,
-        passes,
-        restraints,
-        actions: actions.iter().map(|a| a.to_string()).collect(),
+            passes: self.config.max_passes,
+            restraints: last_restraints,
+            actions,
+        })
     }
 }
 
@@ -358,17 +321,15 @@ pub fn schedule_separated(
 ) -> Result<Schedule, SchedError> {
     // Phase 1: pretend every operation class has as many instances as
     // operations (no contention, no sharing muxes) to fix states quickly.
-    let mut generous = config.clone();
-    generous.allow_add_resources = true;
     let unlimited = initial_resource_set(body, 1);
     let components = sccs(&body.dfg);
-    let mut latency = generous.min_latency.max(1);
+    let mut latency = config.min_latency.max(1);
     let schedule_states;
     loop {
         let input = PassInput {
             body,
             lib,
-            config: &generous,
+            config: &config,
             latency,
             resources: &unlimited,
             forbidden: &HashSet::new(),
@@ -380,13 +341,12 @@ pub fn schedule_separated(
                 schedule_states = desc;
                 break;
             }
-            PassOutcome::Failure(_) if latency < generous.max_latency => latency += 1,
+            PassOutcome::Failure(_) if latency < config.max_latency => latency += 1,
             PassOutcome::Failure(f) => {
                 return Err(SchedError::Overconstrained {
                     latency,
                     passes: 1,
-                    details: format!("separated flow failed: {} restraints", f.restraints.len()),
-                    worst_slack_ps: worst_negative_slack(&f.restraints),
+                    restraints: f.restraints,
                 })
             }
         }
@@ -549,12 +509,22 @@ mod tests {
 
     #[test]
     fn overconstrained_when_latency_capped_too_low() {
+        // At 600 ps not even one multiplication fits a state, and the
+        // latency cap leaves no state to add: no action applies.
         let body = example1();
         let lib = lib();
-        let mut config = SchedulerConfig::sequential(clk(), 1, 1);
-        config.allow_add_resources = false;
+        let config = SchedulerConfig::sequential(ClockConstraint::from_period_ps(600.0), 1, 1);
         let err = Scheduler::new(&body, &lib, config).run().unwrap_err();
-        assert!(matches!(err, SchedError::Overconstrained { .. }));
+        match &err {
+            SchedError::Overconstrained {
+                passes, restraints, ..
+            } => {
+                assert_eq!(*passes, 1);
+                assert!(!restraints.is_empty());
+            }
+            other => panic!("expected Overconstrained, got {other:?}"),
+        }
+        assert!(err.worst_slack_ps() < 0.0, "{err}");
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! Clock period constraint.
 
-use serde::{Deserialize, Serialize};
-
 /// The target clock of a synthesis run.
 ///
 /// The paper's examples use `Tclk = 1600 ps` with the `artisan_90nm_typical`
 /// library; the experimental section explores clocks up to 2 GHz (500 ps).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ClockConstraint {
     period_ps: f64,
     /// Clock uncertainty (jitter/skew margin) subtracted from the usable

@@ -12,14 +12,12 @@
 
 use crate::characterization::Characterization;
 use crate::resource::{ResourceClass, ResourceType};
-use serde::{Deserialize, Serialize};
-
 /// Implementation variant of a resource.
 ///
 /// `Fast` is the timing-optimal implementation (what Table 1 reports);
 /// `Small` trades roughly 60 % more delay for roughly 40 % less area, which
 /// is how relaxing the clock lets logic synthesis shrink the design.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ImplVariant {
     /// Fastest implementation (delay-optimal).
     Fast,
@@ -28,7 +26,7 @@ pub enum ImplVariant {
 }
 
 /// An analytical technology library.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TechLibrary {
     name: String,
     /// Global derating factor on all delays (1.0 = typical corner).

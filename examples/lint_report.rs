@@ -11,19 +11,19 @@
 //! to deny, that includes any netlist whose critical path misses its clock.
 use hls::designs::{fir_filter, moving_average, paper_example1};
 use hls::explore::idct8_design;
+use hls::ir::json::JsonWriter;
 use hls::lint::{optimize_timed, LintConfig, TimingSummary};
 use hls::tech::{ClockConstraint, TechLibrary};
 use hls::{SynthesisResult, Synthesizer};
 
-fn summary_json(s: &TimingSummary) -> String {
-    format!(
-        "{{\"clock_ps\": {:.1}, \"wns_ps\": {:.1}, \"tns_ps\": {:.1}, \"critical_ps\": {:.1}, \"endpoints\": {}}}",
-        s.clock_ps,
-        s.wns_ps,
-        s.tns_ps,
-        s.critical_delay_ps(),
-        s.endpoints.len()
-    )
+fn summary_json(w: &mut JsonWriter, s: &TimingSummary) {
+    w.begin_object();
+    w.key("clock_ps").float(s.clock_ps, 1);
+    w.key("wns_ps").float(s.wns_ps, 1);
+    w.key("tns_ps").float(s.tns_ps, 1);
+    w.key("critical_ps").float(s.critical_delay_ps(), 1);
+    w.key("endpoints").uint(s.endpoints.len() as u64);
+    w.end_object();
 }
 
 /// Before/after timing of the timed-rewrite loop, at the design's own
@@ -36,18 +36,24 @@ fn timing_json(name: &str, result: &SynthesisResult) -> String {
     let probe_clock = ClockConstraint::from_period_ps(stock.after.critical_delay_ps() - 50.0);
     let mut probed = result.netlist.clone();
     let probe = optimize_timed(&mut probed, &lib, probe_clock);
-    format!(
-        "{{\n  \"design\": \"{name}\",\n  \"stock\": {{\"rounds\": {}, \"before\": {}, \"after\": {}}},\n  \"tightened\": {{\"rounds\": {}, \"rebalanced_ops\": {}, \"reduced_shifts\": {}, \"retimed\": {}, \"before\": {}, \"after\": {}}}\n}}\n",
-        stock.rounds,
-        summary_json(&stock.before),
-        summary_json(&stock.after),
-        probe.rounds,
-        probe.rebalanced_ops,
-        probe.reduced_shifts,
-        probe.retimed,
-        summary_json(&probe.before),
-        summary_json(&probe.after),
-    )
+    let mut w = JsonWriter::new();
+    w.begin_object();
+    w.key("design").string(name);
+    w.key("stock").begin_object();
+    w.key("rounds").uint(stock.rounds as u64);
+    summary_json(w.key("before"), &stock.before);
+    summary_json(w.key("after"), &stock.after);
+    w.end_object();
+    w.key("tightened").begin_object();
+    w.key("rounds").uint(probe.rounds as u64);
+    w.key("rebalanced_ops").uint(probe.rebalanced_ops as u64);
+    w.key("reduced_shifts").uint(probe.reduced_shifts as u64);
+    w.key("retimed").uint(probe.retimed as u64);
+    summary_json(w.key("before"), &probe.before);
+    summary_json(w.key("after"), &probe.after);
+    w.end_object();
+    w.end_object();
+    w.finish()
 }
 
 fn report(

@@ -9,7 +9,7 @@ use std::error::Error;
 
 /// The idct8 row design at a clock 45 ps below what its multipliers can
 /// meet: scheduling is infeasible at any latency.
-fn infeasible_idct8() -> hls::BodySynthesizer {
+fn infeasible_idct8() -> Synthesizer {
     Synthesizer::from_body(hls::explore::idct8_design())
         .clock_ps(1200.0)
         .latency_bounds(1, 16)
@@ -22,10 +22,10 @@ fn recovery_is_off_by_default() {
         .run()
         .unwrap_err();
     match err {
-        SynthesisError::Scheduling(SchedError::Overconstrained { worst_slack_ps, .. }) => {
+        SynthesisError::Scheduling(e @ SchedError::Overconstrained { .. }) => {
             assert!(
-                worst_slack_ps < 0.0,
-                "slack-driven failure reports its shortfall: {worst_slack_ps}"
+                e.worst_slack_ps() < 0.0,
+                "slack-driven failure reports its shortfall: {e}"
             );
         }
         other => panic!("expected a scheduling error, got: {other}"),

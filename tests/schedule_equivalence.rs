@@ -16,7 +16,7 @@ use hls::frontend::BehaviorBuilder;
 use hls::ir::analysis::sccs;
 use hls::ir::{CmpKind, Dfg, LinearBody, OpKind, PortDirection, Signal};
 use hls::opt::linearize::prepare_innermost_loop;
-use hls::sched::{RegionPlan, SchedError, Schedule, Scheduler, SchedulerConfig};
+use hls::sched::{RegionPlan, Restraint, SchedError, Schedule, Scheduler, SchedulerConfig};
 use hls::tech::{ClockConstraint, TechLibrary};
 use hls::{designs, Synthesizer};
 use rand::rngs::SmallRng;
@@ -70,11 +70,12 @@ fn check(label: &str, body: &LinearBody, lib: &TechLibrary, config: SchedulerCon
             assert_equal_schedules(label, &a, &b);
             true
         }
-        (
-            Err(a @ (SchedError::Overconstrained { .. } | SchedError::BudgetExhausted { .. })),
-            Err(b @ (SchedError::Overconstrained { .. } | SchedError::BudgetExhausted { .. })),
-        ) => {
+        (Err(a), Err(b)) => {
+            // structured values: latency, pass count, the exact restraint
+            // list (slacks to the bit) and, for a budget cut-off, the
+            // applied actions
             assert_eq!(a, b, "{label}: failures differ");
+            assert_eq!(slack_bits(&a), slack_bits(&b), "{label}: slacks differ");
             false
         }
         (a, b) => panic!(
@@ -83,6 +84,23 @@ fn check(label: &str, body: &LinearBody, lib: &TechLibrary, config: SchedulerCon
             b.map(|s| s.latency)
         ),
     }
+}
+
+/// The bit patterns of every negative slack a failure carries, in
+/// restraint order.
+fn slack_bits(e: &SchedError) -> Vec<u64> {
+    let restraints = match e {
+        SchedError::Overconstrained { restraints, .. }
+        | SchedError::BudgetExhausted { restraints, .. } => restraints,
+        other => panic!("unexpected scheduling error: {other}"),
+    };
+    restraints
+        .iter()
+        .filter_map(|r| match r {
+            Restraint::NegativeSlack { slack_ps, .. } => Some(slack_ps.to_bits()),
+            _ => None,
+        })
+        .collect()
 }
 
 fn configs_for(clock_ps: f64, max_latency: u32) -> Vec<(String, SchedulerConfig)> {
@@ -111,10 +129,10 @@ fn paper_example1_is_equivalent_in_all_microarchitectures() {
     for (name, config) in configs_for(1600.0, 6) {
         check(&format!("example1/{name}"), &body, &lib, config);
     }
-    // the deliberately over-constrained case must fail identically too
-    let mut tight = SchedulerConfig::sequential(ClockConstraint::from_period_ps(1600.0), 1, 1);
-    tight.allow_add_resources = false;
-    check("example1/overconstrained", &body, &lib, tight);
+    // the deliberately over-constrained case must fail identically too: at
+    // 600 ps no multiplication fits, and latency 1 leaves nothing to relax
+    let tight = SchedulerConfig::sequential(ClockConstraint::from_period_ps(600.0), 1, 1);
+    assert!(!check("example1/overconstrained", &body, &lib, tight));
 }
 
 #[test]

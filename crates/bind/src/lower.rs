@@ -269,8 +269,9 @@ impl Lowerer<'_> {
         }
         let mut parts = Vec::new();
         if self.cpi > 1 {
-            let fsm = self.cons(CellKind::FsmState, 8, vec![], None);
-            let c = self.cons(CellKind::Const(i64::from(s % self.cpi)), 8, vec![], None);
+            let w = self.m.state_width();
+            let fsm = self.cons(CellKind::FsmState, w, vec![], None);
+            let c = self.cons(CellKind::Const(i64::from(s % self.cpi)), w, vec![], None);
             parts.push(self.cons(
                 CellKind::Bin(BinKind::Cmp(CmpKind::Eq)),
                 1,
@@ -646,8 +647,9 @@ impl Lowerer<'_> {
             }
             let mut parts = Vec::new();
             if self.cpi > 1 {
-                let fsm = self.cons(CellKind::FsmState, 8, vec![], None);
-                let c = self.cons(CellKind::Const(i64::from(s.folded_state)), 8, vec![], None);
+                let w = self.m.state_width();
+                let fsm = self.cons(CellKind::FsmState, w, vec![], None);
+                let c = self.cons(CellKind::Const(i64::from(s.folded_state)), w, vec![], None);
                 parts.push(self.cons(
                     CellKind::Bin(BinKind::Cmp(CmpKind::Eq)),
                     1,

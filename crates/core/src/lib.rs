@@ -80,7 +80,12 @@ pub enum SynthesisError {
     /// Differential verification failed: the cycle-accurate simulation of
     /// the schedule (per-op, bound or netlist-level) disagrees with the
     /// reference interpreter.
-    Verification(hls_sim::SimError),
+    Verification {
+        /// Which of the flow's differential checks failed.
+        check: VerificationCheck,
+        /// The divergence (or simulation error) it reported.
+        source: hls_sim::SimError,
+    },
     /// The netlist analyzer found deny-level diagnostics (structural lints
     /// or setup violations, depending on the configured severities). The
     /// full report — including the timing summary — is carried along.
@@ -99,6 +104,33 @@ pub enum SynthesisError {
     },
 }
 
+/// The five differential checks `Synthesizer::verify` runs, in flow order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VerificationCheck {
+    /// The schedule, one computation per operation.
+    Schedule,
+    /// The bound design: shared units with steered operands.
+    Bound,
+    /// The netlist as lowered, before any rewrite.
+    LoweredNetlist,
+    /// The netlist after the structural rewrites (`hls_nir::optimize`).
+    RewrittenNetlist,
+    /// The netlist after the timing-driven rewrites.
+    TimedNetlist,
+}
+
+impl fmt::Display for VerificationCheck {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            VerificationCheck::Schedule => "schedule",
+            VerificationCheck::Bound => "bound design",
+            VerificationCheck::LoweredNetlist => "lowered netlist",
+            VerificationCheck::RewrittenNetlist => "rewritten netlist",
+            VerificationCheck::TimedNetlist => "timed netlist",
+        })
+    }
+}
+
 impl fmt::Display for SynthesisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -109,7 +141,9 @@ impl fmt::Display for SynthesisError {
             SynthesisError::Binding(e) => write!(f, "binder: {e}"),
             SynthesisError::Lowering(e) => write!(f, "netlist lowering: {e}"),
             SynthesisError::Netlist(e) => write!(f, "netlist validation: {e}"),
-            SynthesisError::Verification(e) => write!(f, "differential verification: {e}"),
+            SynthesisError::Verification { check, source } => {
+                write!(f, "differential verification of the {check}: {source}")
+            }
             SynthesisError::Lint(report) => {
                 let first = report
                     .diagnostics
@@ -151,7 +185,7 @@ impl Error for SynthesisError {
             SynthesisError::Binding(e) => Some(e),
             SynthesisError::Lowering(e) => Some(e),
             SynthesisError::Netlist(e) => Some(e),
-            SynthesisError::Verification(e) => Some(e),
+            SynthesisError::Verification { source, .. } => Some(source),
             // the report is data, not an error type
             SynthesisError::Lint(_) => None,
             SynthesisError::RecoveryExhausted { last, .. } => Some(last.as_ref()),
@@ -177,11 +211,6 @@ impl From<hls_sched::SchedError> for SynthesisError {
 impl From<hls_pipeline::FoldError> for SynthesisError {
     fn from(e: hls_pipeline::FoldError) -> Self {
         SynthesisError::Folding(e)
-    }
-}
-impl From<hls_sim::SimError> for SynthesisError {
-    fn from(e: hls_sim::SimError) -> Self {
-        SynthesisError::Verification(e)
     }
 }
 impl From<hls_bind::BindError> for SynthesisError {
@@ -500,10 +529,12 @@ impl Synthesizer {
         let binding = hls_bind::bind(&body, &schedule.desc)?;
         let mut netlist = hls_bind::lower(&body, &schedule.desc, &binding, RtlStyle::SharedFu)?;
         hls_nir::validate(&netlist)?;
+        let failed = |check| move |source| SynthesisError::Verification { check, source };
         let verification = match self.verify_vectors {
             Some(vectors) => {
                 let report =
-                    hls_sim::differential::random_check(&body, &schedule.desc, vectors, 0x5EED)?;
+                    hls_sim::differential::random_check(&body, &schedule.desc, vectors, 0x5EED)
+                        .map_err(failed(VerificationCheck::Schedule))?;
                 // the bound netlist — shared units with steered operand
                 // muxes — must agree with the reference too
                 hls_sim::differential::random_check_bound(
@@ -512,9 +543,11 @@ impl Synthesizer {
                     &binding,
                     vectors,
                     0x5EED,
-                )?;
+                )
+                .map_err(failed(VerificationCheck::Bound))?;
                 // and so must the lowered cell-level netlist, pre-rewrite
-                hls_sim::differential::random_check_nir(&body, &netlist, vectors, 0x5EED)?;
+                hls_sim::differential::random_check_nir(&body, &netlist, vectors, 0x5EED)
+                    .map_err(failed(VerificationCheck::LoweredNetlist))?;
                 Some(report)
             }
             None => None,
@@ -523,7 +556,8 @@ impl Synthesizer {
         hls_nir::validate(&netlist)?;
         if let Some(vectors) = self.verify_vectors {
             // the rewrites must not change observable behaviour
-            hls_sim::differential::random_check_nir(&body, &netlist, vectors, 0x5EED)?;
+            hls_sim::differential::random_check_nir(&body, &netlist, vectors, 0x5EED)
+                .map_err(failed(VerificationCheck::RewrittenNetlist))?;
         }
         // Timing-driven re-optimization: if the rewritten netlist still has
         // negative-slack endpoints, rebalance/retime the failing cones and
@@ -536,7 +570,8 @@ impl Synthesizer {
         if timed_rewrites.changed() {
             hls_nir::validate(&netlist)?;
             if let Some(vectors) = self.verify_vectors {
-                hls_sim::differential::random_check_nir(&body, &netlist, vectors, 0x5EED)?;
+                hls_sim::differential::random_check_nir(&body, &netlist, vectors, 0x5EED)
+                    .map_err(failed(VerificationCheck::TimedNetlist))?;
             }
         }
         // Static analysis of the final netlist: structural lints plus the
@@ -800,6 +835,21 @@ mod tests {
         assert!(nstats.muxes() >= 2, "{nstats:?}");
         assert!(nstats.regs > 0, "{nstats:?}");
         assert!(result.binding.summary().contains("FUs"));
+    }
+
+    #[test]
+    fn a_verification_failure_names_its_check() {
+        let err = SynthesisError::Verification {
+            check: VerificationCheck::TimedNetlist,
+            source: hls_sim::SimError::Netlist {
+                cell: 7,
+                reason: "combinational cycle".into(),
+            },
+        };
+        assert_eq!(
+            err.to_string(),
+            "differential verification of the timed netlist: netlist cell %7: combinational cycle"
+        );
     }
 
     #[test]

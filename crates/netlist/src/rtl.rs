@@ -221,12 +221,13 @@ pub fn emit_verilog(m: &NirModule) -> String {
     if has_fsm || has_sv || has_fi {
         let fold = m.fold_states.max(1);
         let stages = m.stages.max(1);
+        let sw = m.state_width();
         let _ = writeln!(out);
         let _ = writeln!(
             out,
             "  // controller: {fold} folded state(s), {stages} stage(s)"
         );
-        let _ = writeln!(out, "  reg [7:0] state;");
+        let _ = writeln!(out, "  reg {} state;", width_range(sw));
         if has_sv {
             let _ = writeln!(out, "  reg {} stage_valid;", width_range(stages as u16));
         }
@@ -235,7 +236,7 @@ pub fn emit_verilog(m: &NirModule) -> String {
         }
         let _ = writeln!(out, "  always @(posedge clk) begin");
         let _ = writeln!(out, "    if (rst) begin");
-        let _ = writeln!(out, "      state <= 8'd0;");
+        let _ = writeln!(out, "      state <= {sw}'d0;");
         if has_sv {
             // Stage 0 has valid work from the very first cycle.
             let _ = writeln!(out, "      stage_valid <= {stages}'d1;");
@@ -246,7 +247,7 @@ pub fn emit_verilog(m: &NirModule) -> String {
         let _ = writeln!(out, "    end else begin");
         let _ = writeln!(
             out,
-            "      state <= (state == 8'd{}) ? 8'd0 : state + 8'd1;",
+            "      state <= (state == {sw}'d{}) ? {sw}'d0 : state + {sw}'d1;",
             fold - 1
         );
         if has_sv {
@@ -257,14 +258,14 @@ pub fn emit_verilog(m: &NirModule) -> String {
             };
             let _ = writeln!(
                 out,
-                "      if (state == 8'd{}) stage_valid <= {fill}; // pipeline fill",
+                "      if (state == {sw}'d{}) stage_valid <= {fill}; // pipeline fill",
                 fold - 1
             );
         }
         if has_fi {
             let _ = writeln!(
                 out,
-                "      if (state == 8'd{}) first_iter <= first_iter << 1; // track iteration 0",
+                "      if (state == {sw}'d{}) first_iter <= first_iter << 1; // track iteration 0",
                 fold - 1
             );
         }

@@ -179,7 +179,8 @@ pub enum CellKind {
         /// Reset value, interpreted at the cell width.
         init: i64,
     },
-    /// The folded FSM state counter (width 8), counting `0..fold_states`.
+    /// The folded FSM state counter, counting `0..fold_states` at
+    /// [`NirModule::state_width`] bits.
     FsmState,
     /// One bit of the pipeline fill shift register: true once stage `stage`
     /// has valid work. Always true for sequential (single-stage) schedules.
@@ -314,6 +315,13 @@ impl NirModule {
         &self.cells[id.index()]
     }
 
+    /// Bit-width of the FSM state counter: wide enough to count
+    /// `0..fold_states` without aliasing, and never narrower than 8 bits.
+    pub fn state_width(&self) -> u16 {
+        let needed = 32 - self.fold_states.saturating_sub(1).leading_zeros();
+        needed.max(8) as u16
+    }
+
     /// Number of cells in the arena.
     pub fn num_cells(&self) -> usize {
         self.cells.len()
@@ -372,8 +380,8 @@ impl NirModule {
     /// appears after all of its operands. Sequential cells and sources carry
     /// no incoming combinational edges and appear before any combinational
     /// consumer. Requires combinationally acyclic logic (see
-    /// [`crate::validate`]); cells on a cycle are omitted rather than
-    /// looping forever.
+    /// [`crate::validate`]); on a cycle the walk still terminates and
+    /// lists every cell once, but some cell then precedes an operand.
     pub fn comb_topo_order(&self) -> Vec<CellId> {
         let n = self.cells.len();
         let mut order = Vec::with_capacity(n);

@@ -197,10 +197,15 @@ pub fn validate(m: &NirModule) -> Result<(), NirError> {
                 }
             }
             CellKind::FsmState => {
-                if cell.width != 8 {
+                if cell.width != m.state_width() {
                     return Err(NirError::WidthMismatch {
                         cell: id,
-                        detail: format!("fsm state must be 8 bits, found w{}", cell.width),
+                        detail: format!(
+                            "fsm state must be {} bits for {} folded states, found w{}",
+                            m.state_width(),
+                            m.fold_states,
+                            cell.width
+                        ),
                     });
                 }
             }
@@ -377,6 +382,33 @@ mod tests {
         m.cells[r.index()].inputs = vec![sum, en];
         drive_output(&mut m, r);
         assert_eq!(validate(&m), Ok(()));
+    }
+
+    #[test]
+    fn the_fsm_state_is_as_wide_as_its_fold_states_need() {
+        let fsm_module = |fold_states: u32, width: u16| {
+            let mut m = module_with_out();
+            m.fold_states = fold_states;
+            m.num_states = fold_states;
+            let fsm = m.push(CellKind::FsmState, width, vec![]);
+            let w = m.push(CellKind::Resize, 8, vec![fsm]);
+            drive_output(&mut m, w);
+            m
+        };
+        assert_eq!(fsm_module(256, 8).state_width(), 8);
+        assert_eq!(validate(&fsm_module(256, 8)), Ok(()));
+        assert_eq!(fsm_module(257, 9).state_width(), 9);
+        assert_eq!(validate(&fsm_module(300, 9)), Ok(()));
+        // 8 bits alias state 256 + s onto s
+        assert!(matches!(
+            validate(&fsm_module(300, 8)),
+            Err(NirError::WidthMismatch { .. })
+        ));
+        // small controllers keep the 8-bit register
+        assert!(matches!(
+            validate(&fsm_module(3, 2)),
+            Err(NirError::WidthMismatch { .. })
+        ));
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct TimedWrite {
 }
 
 /// What happened in one clock cycle.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CycleRecord {
     /// The cycle number.
     pub cycle: u64,
@@ -51,7 +51,7 @@ pub struct CycleRecord {
 }
 
 /// Full per-cycle trace of a simulated run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CycleTrace {
     /// Cycles per initiated iteration (II if pipelined, latency otherwise).
     pub cycles_per_iteration: u32,

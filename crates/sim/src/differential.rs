@@ -9,7 +9,7 @@
 //! reported with enough context to reproduce.
 
 use crate::cycle::ScheduleSim;
-use crate::error::SimError;
+use crate::error::{Engine, SimError};
 use crate::interp::Interpreter;
 use crate::stimulus::Stimulus;
 use hls_ir::{LinearBody, PortDirection};
@@ -40,7 +40,7 @@ pub fn check(
     stimulus: &Stimulus,
 ) -> Result<DifferentialReport, SimError> {
     let timed = ScheduleSim::new(body, desc)?.run(stimulus)?;
-    compare(body, stimulus, &timed)
+    compare(body, stimulus, &timed, Engine::Schedule)
 }
 
 /// Runs `stimulus` through the interpreter and the **bound** cycle-accurate
@@ -60,7 +60,7 @@ pub fn check_bound(
     stimulus: &Stimulus,
 ) -> Result<DifferentialReport, SimError> {
     let timed = crate::bound::BoundSim::new(body, desc, bound)?.run(stimulus)?;
-    compare(body, stimulus, &timed)
+    compare(body, stimulus, &timed, Engine::Bound)
 }
 
 /// Runs `stimulus` through the interpreter and the **netlist** simulator —
@@ -79,14 +79,15 @@ pub fn check_nir(
     stimulus: &Stimulus,
 ) -> Result<DifferentialReport, SimError> {
     let timed = crate::nir::NirSim::new(netlist)?.run(stimulus)?;
-    compare(body, stimulus, &timed)
+    compare(body, stimulus, &timed, Engine::Netlist)
 }
 
-/// Compares a timed engine's write trace against the reference interpreter.
+/// Compares `engine`'s write trace against the reference interpreter.
 fn compare(
     body: &LinearBody,
     stimulus: &Stimulus,
     timed: &crate::cycle::CycleTrace,
+    engine: Engine,
 ) -> Result<DifferentialReport, SimError> {
     let reference = Interpreter::new(body)?.run(stimulus)?;
     let mut report = DifferentialReport {
@@ -103,6 +104,7 @@ fn compare(
         let actual = timed.port_writes(port);
         if expected.len() != actual.len() {
             return Err(SimError::WriteCountMismatch {
+                engine,
                 port,
                 port_name: decl.name.clone(),
                 expected: expected.len(),
@@ -116,6 +118,7 @@ fn compare(
                 // engine pins the failure on the waveform.
                 let cycle = timed.write_cycles(port).get(i).copied();
                 return Err(SimError::Mismatch {
+                    engine,
                     port,
                     port_name: decl.name.clone(),
                     index: i,
@@ -271,8 +274,22 @@ mod tests {
         if let SimError::Mismatch { cycle, .. } = &err {
             assert!(cycle.is_some(), "diverging cycle recorded");
         }
+        assert!(
+            matches!(
+                err,
+                SimError::Mismatch {
+                    engine: Engine::Netlist,
+                    ..
+                } | SimError::WriteCountMismatch {
+                    engine: Engine::Netlist,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
         let rendered = err.to_string();
         assert!(rendered.contains("0xc0ffee"), "{rendered}");
+        assert!(rendered.contains("netlist simulation"), "{rendered}");
         // the replay arguments reproduce the same failure deterministically
         let again = random_check_nir(&body, &m, 10, 0xC0FFEE).unwrap_err();
         assert_eq!(err, again);

@@ -27,6 +27,30 @@ impl fmt::Display for ReplayInfo {
     }
 }
 
+/// The timed engine whose trace a differential check compared against the
+/// reference interpreter.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Engine {
+    /// [`ScheduleSim`](crate::ScheduleSim): one computation per scheduled
+    /// operation.
+    Schedule,
+    /// [`BoundSim`](crate::BoundSim): shared functional units with steered
+    /// operands.
+    Bound,
+    /// [`NirSim`](crate::NirSim): the lowered cell-level netlist.
+    Netlist,
+}
+
+impl fmt::Display for Engine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Engine::Schedule => "schedule",
+            Engine::Bound => "bound",
+            Engine::Netlist => "netlist",
+        })
+    }
+}
+
 /// Errors raised by the interpreter, the cycle-accurate simulator or the
 /// differential checker.
 #[derive(Clone, Debug, PartialEq)]
@@ -68,6 +92,8 @@ pub enum SimError {
     },
     /// The interpreter and the cycle-accurate simulator disagree.
     Mismatch {
+        /// The timed engine that produced the diverging write.
+        engine: Engine,
         /// Port on which the writes diverge.
         port: PortId,
         /// Port name, for readable reports.
@@ -107,6 +133,8 @@ pub enum SimError {
     },
     /// The two engines produced a different number of writes on a port.
     WriteCountMismatch {
+        /// The timed engine whose write count diverges.
+        engine: Engine,
         /// Port on which the counts diverge.
         port: PortId,
         /// Port name, for readable reports.
@@ -166,6 +194,7 @@ impl fmt::Display for SimError {
                 "{op} fired at cycle {cycle} (iteration {iteration}) before its input {input} was computed"
             ),
             SimError::Mismatch {
+                engine,
                 port_name,
                 index,
                 iteration,
@@ -177,7 +206,7 @@ impl fmt::Display for SimError {
             } => {
                 write!(
                     f,
-                    "write #{index} to `{port_name}` (iteration {iteration}): interpreter says {expected}, schedule simulation says {actual}"
+                    "write #{index} to `{port_name}` (iteration {iteration}): interpreter says {expected}, {engine} simulation says {actual}"
                 )?;
                 if let Some(cycle) = cycle {
                     write!(f, " at cycle {cycle}")?;
@@ -195,6 +224,7 @@ impl fmt::Display for SimError {
                 write!(f, "netlist cell %{cell}: {reason}")
             }
             SimError::WriteCountMismatch {
+                engine,
                 port_name,
                 expected,
                 actual,
@@ -203,7 +233,7 @@ impl fmt::Display for SimError {
             } => {
                 write!(
                     f,
-                    "port `{port_name}`: interpreter produced {expected} writes, schedule simulation {actual}"
+                    "port `{port_name}`: interpreter produced {expected} writes, {engine} simulation {actual}"
                 )?;
                 if let Some(replay) = replay {
                     write!(f, "; {replay}")?;

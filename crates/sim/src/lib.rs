@@ -55,7 +55,7 @@ pub use differential::{
     check, check_bound, check_nir, random_check, random_check_bound, random_check_nir,
     DifferentialReport,
 };
-pub use error::{ReplayInfo, SimError};
+pub use error::{Engine, ReplayInfo, SimError};
 pub use interp::{interpret_cdfg, InterpTrace, Interpreter, WriteEvent};
 pub use nir::NirSim;
 pub use stimulus::Stimulus;

@@ -181,3 +181,23 @@ fn facade_verify_hook_validates_the_idct_exploration_path() {
     assert_eq!(report.ports, 8);
     assert!(report.writes_checked >= 8 * VECTORS);
 }
+
+#[test]
+fn a_schedule_past_256_folded_states_verifies() {
+    // 300 folded states need a 9-bit state counter: at 8 bits state s
+    // aliased onto s mod 256 and writes fired twice per iteration.
+    let result = Synthesizer::new(paper_example1())
+        .clock_ps(1600.0)
+        .latency_bounds(300, 304)
+        .verify(20)
+        .run()
+        .expect("300 folded states synthesize and verify");
+    assert!(result.netlist.fold_states > 256);
+    assert_eq!(result.netlist.state_width(), 9);
+    assert!(
+        result.rtl.contains("reg [8:0] state;"),
+        "9-bit state register"
+    );
+    let report = result.verification.expect("verification ran");
+    assert_eq!(report.iterations, 20);
+}

@@ -14,7 +14,16 @@
 //! `local_instance * fold_states + folded_state`, and the
 //! combinational-cycle graph is an adjacency `Vec` over region-local
 //! resource indices with epoch-marked DFS. Nothing on the placement path
-//! hashes a key or allocates.
+//! hashes a key; it allocates only when a scratch vector it reuses across
+//! attempts and passes (the reason arena, a busy list, the DFS stack)
+//! outgrows its capacity.
+//!
+//! A failed placement attempt — the scheduler's inner loop, since every
+//! relaxation starts from a failed pass — records one `Copy` reason per
+//! refusing instance into the region's append-only reason arena and
+//! evaluates timing once per resource *type*, not per instance.
+//! [`Restraint`] values (which own a [`ResourceType`]) are built only for
+//! the root-cause ops of the region's cached failure fragment.
 //!
 //! # Regions
 //!
@@ -41,8 +50,10 @@
 //! watermark; a relaxation action dirties only the regions that can observe
 //! it:
 //!
-//! * `AddState` — every region continues from the previous final state
-//!   (or replays fully if mobility saturation reordered its priorities);
+//! * `AddState` — every region continues from the previous final state;
+//!   a region whose priorities mobility saturation reordered replays from
+//!   the first state whose ready lists can sort differently (the first
+//!   state `T` at which two ops first considered by `T` swapped places);
 //! * `AddResources { ty, count }` — each instance is added to the pool of
 //!   the region owning a restraint that provoked it; only those regions
 //!   re-pass, from the first state where a member of `ty`'s class was
@@ -76,7 +87,7 @@ use hls_tech::{
     Interner, ResourceClass, ResourceClassId, ResourceInstanceId, ResourceSet, ResourceType,
     ResourceTypeId, TechLibrary,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Resume watermark marking a region that does not need to re-pass.
 const CLEAN: u32 = u32::MAX;
@@ -371,11 +382,15 @@ struct RegionFrame {
     placed: Vec<Option<PlacedOp>>,
     num_placed: usize,
     scc_dyn_stage: Vec<Option<u32>>,
-    /// Reasons recorded by the op's latest failed binding attempt; `None`
-    /// means the op was never attempted (the failure report treats an
-    /// attempted-but-reasonless op differently from a never-attempted one).
-    /// `Arc` so per-state snapshots clone a pointer, not the restraint list.
-    last_reasons: Vec<Option<Arc<Vec<Restraint>>>>,
+    /// Where the op's latest failed binding attempt left its reasons in the
+    /// region's reason arena; `None` means the op was never attempted (the
+    /// failure report treats an attempted-but-reasonless op differently
+    /// from a never-attempted one).
+    last_reasons: Vec<Option<ReasonSpan>>,
+    /// Length of the region's reason arena when the frame was snapshotted
+    /// (at the start of its state); restoring the snapshot truncates the
+    /// arena back to it, dropping exactly the reasons of the replayed states.
+    reasons_len: usize,
     first_considered: Vec<Option<u32>>,
     min_slack: f64,
 }
@@ -387,9 +402,43 @@ impl RegionFrame {
             num_placed: 0,
             scc_dyn_stage: scc_stage_input.to_vec(),
             last_reasons: vec![None; n_local],
+            reasons_len: 0,
             first_considered: vec![None; n_local],
             min_slack: f64::INFINITY,
         }
+    }
+}
+
+/// Why one binding attempt refused an instance (or the op as a whole): a
+/// [`Restraint`] without its op, in a `Copy` form a failed attempt records
+/// with one push. Restraints are built from these only when the region
+/// caches its failure-report fragment.
+#[derive(Clone, Copy, Debug)]
+enum Reason {
+    /// The instance is busy in the folded state: `ResourceContention` on
+    /// the instance's type.
+    Busy(ResourceInstanceId),
+    /// `NegativeSlack` with this slack.
+    Slack(f64),
+    /// `CombCycle` through the instance.
+    CombCycle(ResourceInstanceId),
+    /// `SccWindow` of the SCC with this index.
+    SccWindow(u32),
+    /// The pool has no compatible instance: `ResourceContention` on the
+    /// op's required type.
+    NoCompatible,
+}
+
+/// A contiguous run of one attempt's reasons in a region's reason arena.
+#[derive(Clone, Copy, Debug)]
+struct ReasonSpan {
+    start: u32,
+    len: u32,
+}
+
+impl ReasonSpan {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
     }
 }
 
@@ -418,14 +467,20 @@ struct RegionRt {
     iface: Vec<Option<u32>>,
     /// Cached failure-report fragment from the region's last run.
     fail: Vec<(OpId, Vec<Restraint>)>,
+    /// Reasons of every failed attempt since the frame's state 0, in
+    /// attempt order; frames refer to it through [`ReasonSpan`]s.
+    reasons: Vec<Reason>,
 
     // scratch reused across passes
     busy: Vec<Vec<OpId>>,
     comb_succ: Vec<Vec<u32>>,
     comb_mark: Vec<u32>,
     comb_epoch: u32,
+    comb_stack: Vec<u32>,
     ready: Vec<OpId>,
     in_arrivals: Vec<f64>,
+    /// One attempt's (type, arrival, slack) evaluations.
+    timing_memo: Vec<(ResourceTypeId, f64, f64)>,
 }
 
 /// Outcome of one engine pass (the schedule itself stays inside the engine
@@ -594,12 +649,15 @@ impl<'a> Engine<'a> {
                 resume: 0,
                 iface: vec![None; info.boundary.len()],
                 fail: Vec::new(),
+                reasons: Vec::new(),
                 busy: Vec::new(),
                 comb_succ: Vec::new(),
                 comb_mark: Vec::new(),
                 comb_epoch: 0,
+                comb_stack: Vec::new(),
                 ready: Vec::with_capacity(regions_capacity_hint(n, num_regions)),
                 in_arrivals: Vec::with_capacity(8),
+                timing_memo: Vec::new(),
             });
         }
 
@@ -698,21 +756,21 @@ impl<'a> Engine<'a> {
                         rt.resume = rt.resume.min(old_latency);
                     }
                 } else {
-                    // mobility saturation reordered the priorities; regions
-                    // whose filtered order survived still only append, the
-                    // rest replay from scratch
+                    // mobility saturation reordered the priorities; each
+                    // region replays from the first state whose ready lists
+                    // can sort differently (regions whose filtered order
+                    // survived still only append)
                     self.order = new_order;
                     let mut region_orders: Vec<Vec<OpId>> = vec![Vec::new(); self.regions.len()];
                     for &op in &self.order {
                         region_orders[self.plan.region_of[op.index()] as usize].push(op);
                     }
+                    let local_of = &self.plan.local_of;
                     for (rt, new_ord) in self.regions.iter_mut().zip(region_orders) {
-                        let resume = if new_ord == rt.order {
-                            old_latency
-                        } else {
-                            rt.order = new_ord;
-                            0
-                        };
+                        let resume = reorder_resume(&rt.order, &new_ord, old_latency, |op| {
+                            rt.frame.first_considered[local_of[op.index()] as usize]
+                        });
+                        rt.order = new_ord;
                         rt.resume = rt.resume.min(resume);
                     }
                 }
@@ -1076,9 +1134,11 @@ impl<'a> Engine<'a> {
         if resume == 0 {
             cur.frame = RegionFrame::fresh(n_local, &self.scc_stage_input);
             cur.snapshots.clear();
+            cur.reasons.clear();
         } else if (resume as usize) < cur.snapshots.len() {
             cur.frame = cur.snapshots[resume as usize].clone();
             cur.snapshots.truncate(resume as usize);
+            cur.reasons.truncate(cur.frame.reasons_len);
             // re-apply the (possibly updated) input stage pins; for sccs
             // whose input is unchanged this is a no-op
             for (i, stage) in self.scc_stage_input.iter().enumerate() {
@@ -1097,6 +1157,7 @@ impl<'a> Engine<'a> {
         let order = std::mem::take(&mut cur.order);
         for state in resume..latency {
             debug_assert_eq!(cur.snapshots.len(), state as usize);
+            cur.frame.reasons_len = cur.reasons.len();
             cur.snapshots.push(cur.frame.clone());
             loop {
                 // ready operations, already in priority order
@@ -1183,8 +1244,12 @@ impl<'a> Engine<'a> {
                     continue;
                 }
                 let id = OpId::from_raw(g);
-                if let Some(rs) = &cur.frame.last_reasons[l] {
-                    cur.fail.push((id, rs.as_ref().clone()));
+                if let Some(span) = cur.frame.last_reasons[l] {
+                    let restraints = cur.reasons[span.range()]
+                        .iter()
+                        .map(|&reason| self.restraint(id, reason))
+                        .collect();
+                    cur.fail.push((id, restraints));
                 } else {
                     // never attempted: distinguish "a region-crossing value
                     // is registered in the final state, so readiness needs a
@@ -1305,7 +1370,12 @@ impl<'a> Engine<'a> {
             ops.div_ceil(insts)
         };
 
-        let mut reasons: Vec<Restraint> = Vec::new();
+        // One timing evaluation per interned type: within an attempt the
+        // arrival and slack depend only on the input arrivals, the sharing
+        // factor and the instance's type.
+        let base_a = in_arrivals.iter().copied().fold(0.0f64, f64::max);
+        cur.timing_memo.clear();
+        let reasons_start = cur.reasons.len();
         let mut bound = false;
         for &res_id in &self.compat[i] {
             if self.forbidden[i].contains(&res_id) {
@@ -1326,27 +1396,19 @@ impl<'a> Engine<'a> {
                         .mutually_exclusive(&self.statics.pred_lits[i])
             });
             if conflict {
-                reasons.push(Restraint::ResourceContention {
-                    op: op_id,
-                    ty: self.resources.instance(res_id).ty.clone(),
-                });
+                cur.reasons.push(Reason::Busy(res_id));
                 continue;
             }
-            // timing check (mirrors `ChainTiming::op_arrival_ps` over the
-            // interned per-type delay/width tables — no type hashing)
-            let tid = self.inst_type_ids[res_id.index()];
-            let base_a = in_arrivals.iter().copied().fold(0.0f64, f64::max);
-            let a = base_a
-                + self
-                    .timing
-                    .input_mux_delay_ps(share, self.statics.type_width[tid.index()])
-                + self.statics.type_delay[tid.index()];
-            let slack = self.timing.slack_shared_ps(a, op.width, sharing);
+            let (a, slack) = self.type_timing(
+                &mut cur.timing_memo,
+                self.inst_type_ids[res_id.index()],
+                base_a,
+                share,
+                op.width,
+                sharing,
+            );
             if slack < 0.0 {
-                reasons.push(Restraint::NegativeSlack {
-                    op: op_id,
-                    slack_ps: slack,
-                });
+                cur.reasons.push(Reason::Slack(slack));
                 continue;
             }
             // combinational cycle check (only same-region producers can
@@ -1367,6 +1429,7 @@ impl<'a> Engine<'a> {
                                 &cur.comb_succ,
                                 &mut cur.comb_mark,
                                 &mut cur.comb_epoch,
+                                &mut cur.comb_stack,
                                 self.inst_local[rp.index()],
                                 self.inst_local[res_id.index()],
                             ) {
@@ -1377,10 +1440,7 @@ impl<'a> Engine<'a> {
                 }
             }
             if creates_cycle {
-                reasons.push(Restraint::CombCycle {
-                    op: op_id,
-                    resource: res_id,
-                });
+                cur.reasons.push(Reason::CombCycle(res_id));
                 continue;
             }
             // accept the binding
@@ -1422,34 +1482,33 @@ impl<'a> Engine<'a> {
             bound = true;
             break;
         }
-        if !bound {
+        if bound {
+            // the refusals of earlier instances are moot once one accepts
+            cur.reasons.truncate(reasons_start);
+        } else {
             // If every instance was busy, also check whether a brand new
             // instance would have met timing; if not, the real problem is
             // slack, not hardware.
-            if reasons
+            if cur.reasons[reasons_start..]
                 .iter()
-                .all(|r| matches!(r, Restraint::ResourceContention { .. }))
+                .all(|r| matches!(r, Reason::Busy(_)))
             {
                 if let Some(tid) = self.statics.required_type_id[i] {
-                    let base_a = in_arrivals.iter().copied().fold(0.0f64, f64::max);
-                    let a = base_a
-                        + self
-                            .timing
-                            .input_mux_delay_ps(share, self.statics.type_width[tid.index()])
-                        + self.statics.type_delay[tid.index()];
-                    let slack = self.timing.slack_shared_ps(a, op.width, sharing);
+                    let (_, slack) = self.type_timing(
+                        &mut cur.timing_memo,
+                        tid,
+                        base_a,
+                        share,
+                        op.width,
+                        sharing,
+                    );
                     if slack < 0.0 {
-                        reasons.push(Restraint::NegativeSlack {
-                            op: op_id,
-                            slack_ps: slack,
-                        });
+                        cur.reasons.push(Reason::Slack(slack));
                     }
                 }
             }
-            if self.compat[i].is_empty() {
-                if let Some(ty) = self.statics.required_ty[i].clone() {
-                    reasons.push(Restraint::ResourceContention { op: op_id, ty });
-                }
+            if self.compat[i].is_empty() && self.statics.required_ty[i].is_some() {
+                cur.reasons.push(Reason::NoCompatible);
             }
             if let Some(scc) = self.statics.scc_of[i] {
                 if self
@@ -1457,16 +1516,66 @@ impl<'a> Engine<'a> {
                     .map(|(_, hi)| state >= hi)
                     .unwrap_or(false)
                 {
-                    reasons.push(Restraint::SccWindow {
-                        scc_index: scc as usize,
-                        op: op_id,
-                    });
+                    cur.reasons.push(Reason::SccWindow(scc));
                 }
             }
-            cur.frame.last_reasons[l] = Some(Arc::new(reasons));
+            let index = |n: usize| u32::try_from(n).expect("reason arena exceeds u32 indices");
+            let (start, end) = (index(reasons_start), index(cur.reasons.len()));
+            cur.frame.last_reasons[l] = Some(ReasonSpan {
+                start,
+                len: end - start,
+            });
         }
         cur.in_arrivals = in_arrivals;
         bound
+    }
+
+    /// Arrival and slack of the attempted op on an instance of type `tid`
+    /// (mirrors `ChainTiming::op_arrival_ps` over the interned per-type
+    /// delay/width tables), evaluated once per type and attempt: `memo`
+    /// holds the attempt's evaluations so far.
+    fn type_timing(
+        &self,
+        memo: &mut Vec<(ResourceTypeId, f64, f64)>,
+        tid: ResourceTypeId,
+        base_a: f64,
+        share: usize,
+        width: u16,
+        sharing: bool,
+    ) -> (f64, f64) {
+        if let Some(&(_, a, slack)) = memo.iter().find(|e| e.0 == tid) {
+            return (a, slack);
+        }
+        let a = base_a
+            + self
+                .timing
+                .input_mux_delay_ps(share, self.statics.type_width[tid.index()])
+            + self.statics.type_delay[tid.index()];
+        let slack = self.timing.slack_shared_ps(a, width, sharing);
+        memo.push((tid, a, slack));
+        (a, slack)
+    }
+
+    /// The restraint `reason` stands for on `op`.
+    fn restraint(&self, op: OpId, reason: Reason) -> Restraint {
+        match reason {
+            Reason::Busy(res) => Restraint::ResourceContention {
+                op,
+                ty: self.resources.instance(res).ty.clone(),
+            },
+            Reason::Slack(slack_ps) => Restraint::NegativeSlack { op, slack_ps },
+            Reason::CombCycle(resource) => Restraint::CombCycle { op, resource },
+            Reason::SccWindow(scc) => Restraint::SccWindow {
+                scc_index: scc as usize,
+                op,
+            },
+            Reason::NoCompatible => Restraint::ResourceContention {
+                op,
+                ty: self.statics.required_ty[op.index()]
+                    .clone()
+                    .expect("only datapath ops record NoCompatible"),
+            },
+        }
     }
 
     /// Assembles the global outcome from the per-region results, matching
@@ -1536,6 +1645,7 @@ fn comb_would_create_cycle(
     succ: &[Vec<u32>],
     mark: &mut [u32],
     epoch: &mut u32,
+    dfs: &mut Vec<u32>,
     from: u32,
     to: u32,
 ) -> bool {
@@ -1544,7 +1654,8 @@ fn comb_would_create_cycle(
     }
     *epoch += 1;
     let epoch = *epoch;
-    let mut dfs: Vec<u32> = vec![to];
+    dfs.clear();
+    dfs.push(to);
     while let Some(v) = dfs.pop() {
         if mark[v as usize] == epoch {
             continue;
@@ -1567,6 +1678,43 @@ fn comb_add_edge(succ: &mut [Vec<u32>], from: u32, to: u32) {
     }
 }
 
+/// Where a region must resume after `AddState` changed its priority order
+/// from `old` to `new`: the smallest state `T` at which the ops first
+/// considered at or before `T` (per `first_considered`) stand in a
+/// different relative order in the two lists, or `old_latency` when no such
+/// pair is inverted. Exact because a ready list at state `s` only holds ops
+/// first considered at or before `s`, so every ready list before `T` sorts
+/// the same under both orders and the replayed states make the same
+/// decisions.
+fn reorder_resume(
+    old: &[OpId],
+    new: &[OpId],
+    old_latency: u32,
+    first_considered: impl Fn(OpId) -> Option<u32>,
+) -> u32 {
+    if old == new {
+        return old_latency;
+    }
+    let agree_up_to = |t: u32| {
+        let considered = |op: &&OpId| first_considered(**op).is_some_and(|fc| fc <= t);
+        old.iter()
+            .filter(considered)
+            .eq(new.iter().filter(considered))
+    };
+    // an inversion among the ops considered by `t` persists for every later
+    // state, so the first disagreeing state is found by bisection
+    let (mut lo, mut hi) = (0u32, old_latency);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if agree_up_to(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 fn min_opt(a: Option<u32>, b: Option<u32>) -> Option<u32> {
     match (a, b) {
         (Some(x), Some(y)) => Some(x.min(y)),
@@ -1578,4 +1726,88 @@ fn min_opt(a: Option<u32>, b: Option<u32>) -> Option<u32> {
 /// Ready-list capacity hint: an even split of the ops over the regions.
 fn regions_capacity_hint(n: usize, num_regions: usize) -> usize {
     n / num_regions.max(1) + 1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::relax::choose_action;
+    use hls_explore::{synthetic_design, DesignClass};
+    use hls_tech::ClockConstraint;
+
+    /// The latency walk of a region-decomposed pipelined filter reorders
+    /// priorities as mobility saturation lifts; the reordered regions must
+    /// resume mid-schedule, not from state 0 (the schedule-equivalence
+    /// suite proves the same walk bit-identical to the reference driver).
+    #[test]
+    fn reordered_add_state_resumes_mid_schedule() {
+        let lib = TechLibrary::artisan_90nm_typical();
+        let body = synthetic_design(DesignClass::Filter, 600, 3);
+        let config = SchedulerConfig::pipelined(ClockConstraint::from_period_ps(2200.0), 4, 192)
+            .with_region_decomposition(150);
+        let components = hls_ir::analysis::sccs(&body.dfg);
+        let plan = RegionPlan::build(&body, &components, 150);
+        let mut engine = Engine::new_with_plan(
+            &body,
+            &lib,
+            &config,
+            &components,
+            plan,
+            config.ii_or(config.max_latency),
+            config.min_latency,
+        );
+        let mut mid_resumes = 0;
+        while let EngineOutcome::Failure(failure) = engine.run_pass() {
+            let scc_stage: Vec<u32> = engine.scc_stage().iter().map(|s| s.unwrap_or(0)).collect();
+            let action = choose_action(
+                &failure.restraints,
+                &config,
+                &lib,
+                engine.latency,
+                components.len(),
+                &scc_stage,
+                &failure.failed_ops,
+            )
+            .expect("the walk schedules");
+            let old_latency = engine.latency;
+            engine.apply(&action, &failure.restraints);
+            if action == RelaxAction::AddState {
+                // every region was clean before the action, so a resume
+                // below the old latency comes from a reordered priority list
+                mid_resumes += engine
+                    .regions
+                    .iter()
+                    .filter(|rt| rt.resume > 0 && rt.resume < old_latency)
+                    .count();
+            }
+        }
+        assert!(mid_resumes > 0, "no reordered region resumed mid-schedule");
+    }
+
+    #[test]
+    fn reorder_resume_is_the_first_state_with_an_inversion() {
+        let ids = |v: &[u32]| v.iter().map(|&i| OpId::from_raw(i)).collect::<Vec<_>>();
+        let fc = |op: OpId| [Some(0), Some(2), Some(1), None][op.index()];
+        // unchanged order: append after the old latency
+        assert_eq!(
+            reorder_resume(&ids(&[0, 1, 2, 3]), &ids(&[0, 1, 2, 3]), 4, fc),
+            4
+        );
+        // ops 1 (first considered in state 2) and 2 (state 1) swap: states
+        // 0 and 1 still sort alike, state 2 does not
+        assert_eq!(
+            reorder_resume(&ids(&[0, 1, 2, 3]), &ids(&[0, 2, 1, 3]), 4, fc),
+            2
+        );
+        // a never-considered op moving is invisible to every ready list
+        assert_eq!(
+            reorder_resume(&ids(&[0, 1, 2, 3]), &ids(&[3, 0, 1, 2]), 4, fc),
+            4
+        );
+        // ops 0 and 2 swap: visible from state 1
+        assert_eq!(
+            reorder_resume(&ids(&[0, 1, 2, 3]), &ids(&[2, 1, 0, 3]), 4, fc),
+            1
+        );
+    }
 }

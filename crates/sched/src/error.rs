@@ -3,6 +3,25 @@
 use crate::relax::{RelaxAction, Restraint};
 use std::error::Error;
 use std::fmt;
+use std::time::Duration;
+
+/// Which scheduling budget ran out (see [`SchedError::BudgetExhausted`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Budget {
+    /// The pass-count budget (`SchedulerConfig::max_passes`).
+    Passes(u32),
+    /// The wall-clock budget (`SchedulerConfig::deadline`).
+    Deadline(Duration),
+}
+
+impl fmt::Display for Budget {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Budget::Passes(n) => write!(f, "{n} scheduling passes"),
+            Budget::Deadline(d) => write!(f, "deadline of {d:?}"),
+        }
+    }
+}
 
 /// Errors reported by the scheduler.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,9 +57,8 @@ pub enum SchedError {
     /// diagnostics of the last failed pass so the caller can see where the
     /// search stood when it was cut off.
     BudgetExhausted {
-        /// Which budget ran out (e.g. `"64 scheduling passes"` or
-        /// `"deadline of 10 ms"`).
-        budget: String,
+        /// Which budget ran out.
+        budget: Budget,
         /// Latency reached when the budget ran out.
         latency: u32,
         /// Number of scheduling passes executed.
@@ -180,7 +198,7 @@ mod tests {
     #[test]
     fn budget_exhausted_renders_partial_diagnostics() {
         let e = SchedError::BudgetExhausted {
-            budget: "2 scheduling passes".into(),
+            budget: Budget::Passes(2),
             latency: 4,
             passes: 2,
             restraints: vec![Restraint::NegativeSlack {
@@ -190,9 +208,21 @@ mod tests {
             actions: vec![RelaxAction::AddState],
         };
         let s = e.to_string();
-        assert!(s.contains("budget exhausted"), "{s}");
+        assert!(
+            s.starts_with("scheduling budget exhausted (2 scheduling passes) at latency 4"),
+            "{s}"
+        );
         assert!(s.contains("negative slack of -120 ps"), "{s}");
         assert!(s.contains("applied: add state"), "{s}");
         assert_eq!(e.worst_slack_ps(), 0.0, "a budget cut-off is no verdict");
+    }
+
+    #[test]
+    fn budget_renders_the_historical_text() {
+        assert_eq!(Budget::Passes(64).to_string(), "64 scheduling passes");
+        assert_eq!(
+            Budget::Deadline(Duration::from_millis(10)).to_string(),
+            format!("deadline of {:?}", Duration::from_millis(10))
+        );
     }
 }

@@ -42,7 +42,7 @@ pub mod resources;
 pub mod scheduler;
 
 pub use config::{PipelineRequest, RegionOptions, SchedulerConfig};
-pub use error::SchedError;
+pub use error::{Budget, SchedError};
 pub use pass::{
     schedule_pass, schedule_pass_reference, schedule_pass_reference_with_regions, PassFailure,
     PassInput, PassOutcome, PassRegions,

@@ -454,7 +454,7 @@ pub(crate) fn owner_regions(
                 if (round == 1) != slack_ops.contains(op) {
                     continue;
                 }
-                if rty.name() == name && seen.insert(*op) {
+                if (rty == ty || rty.name() == name) && seen.insert(*op) {
                     owners.push(region_of.get(op.index()).copied().unwrap_or(0));
                 }
             }

@@ -209,30 +209,41 @@ pub fn choose_action(
     }
 
     // Contention demand per resource type, merged at `name()` granularity
-    // (class + operand widths) as the original expert system did; the
-    // ordered map makes the candidate order — which breaks score ties —
-    // deterministic. `pure_*` counts only the ops that do not also fail on
+    // (class + operand widths) as the original expert system did; visiting
+    // the demands in name order makes the candidate order — which breaks
+    // score ties — deterministic. Each distinct type is named once, not once
+    // per restraint. `pure_*` counts only the ops that do not also fail on
     // timing.
     struct Demand {
+        name: String,
         ty: ResourceType,
         ops: usize,
         gain: f64,
         pure_ops: usize,
         pure_gain: f64,
     }
-    let mut demand: BTreeMap<String, Demand> = BTreeMap::new();
-    let mut seen: HashSet<(String, OpId)> = HashSet::new();
+    let mut demand: Vec<Demand> = Vec::new();
+    let mut demand_of_type: HashMap<&ResourceType, usize> = HashMap::new();
+    let mut demand_of_name: HashMap<String, usize> = HashMap::new();
+    let mut seen: HashSet<(usize, OpId)> = HashSet::new();
     for r in restraints {
         if let Restraint::ResourceContention { op, ty } = r {
-            let name = ty.name();
-            let d = demand.entry(name.clone()).or_insert_with(|| Demand {
-                ty: ty.clone(),
-                ops: 0,
-                gain: 0.0,
-                pure_ops: 0,
-                pure_gain: 0.0,
+            let di = *demand_of_type.entry(ty).or_insert_with(|| {
+                let name = ty.name();
+                *demand_of_name.entry(name.clone()).or_insert_with(|| {
+                    demand.push(Demand {
+                        name,
+                        ty: ty.clone(),
+                        ops: 0,
+                        gain: 0.0,
+                        pure_ops: 0,
+                        pure_gain: 0.0,
+                    });
+                    demand.len() - 1
+                })
             });
-            let new_op = usize::from(seen.insert((name, *op)));
+            let d = &mut demand[di];
+            let new_op = usize::from(seen.insert((di, *op)));
             d.ops += new_op;
             d.gain += weight(r);
             if !slack_ops.contains(op) {
@@ -241,6 +252,7 @@ pub fn choose_action(
             }
         }
     }
+    demand.sort_by(|a, b| a.name.cmp(&b.name));
     let cost = |ty: &ResourceType| lib.area(ty) / 5000.0;
 
     // Add resources, one candidate per contended type with pure-contention
@@ -251,7 +263,7 @@ pub fn choose_action(
     // instead of the one-at-a-time endgame refinement, which would need a
     // pass per op.
     let slots = config.ii_or(latency).max(1) as usize;
-    for d in demand.values().filter(|d| d.pure_ops > 0) {
+    for d in demand.iter().filter(|d| d.pure_ops > 0) {
         let count = if d.pure_ops <= BATCH_THRESHOLD {
             1
         } else {
@@ -335,7 +347,7 @@ pub fn choose_action(
     // Every contended type is then slack-bound, so each one's demand
     // covers all of its ops.
     if candidates.is_empty() {
-        for d in demand.into_values() {
+        for d in demand {
             let score = d.gain - cost(&d.ty);
             let action = RelaxAction::AddResources {
                 ty: d.ty,

@@ -11,7 +11,7 @@
 
 use crate::config::SchedulerConfig;
 use crate::engine::{Engine, EngineOutcome};
-use crate::error::SchedError;
+use crate::error::{Budget, SchedError};
 use crate::pass::{
     schedule_pass, schedule_pass_reference_with_regions, PassInput, PassOutcome, PassRegions,
 };
@@ -127,7 +127,7 @@ impl<'a> Scheduler<'a> {
             if let Some(deadline) = self.config.deadline {
                 if pass_no > 1 && start.elapsed() >= deadline {
                     return Err(SchedError::BudgetExhausted {
-                        budget: format!("deadline of {deadline:?}"),
+                        budget: Budget::Deadline(deadline),
                         latency: engine.latency,
                         passes: pass_no - 1,
                         restraints: last_restraints,
@@ -172,7 +172,7 @@ impl<'a> Scheduler<'a> {
             }
         }
         Err(SchedError::BudgetExhausted {
-            budget: format!("{} scheduling passes", self.config.max_passes),
+            budget: Budget::Passes(self.config.max_passes),
             latency: engine.latency,
             passes: self.config.max_passes,
             restraints: last_restraints,
@@ -216,7 +216,7 @@ impl<'a> Scheduler<'a> {
             if let Some(deadline) = self.config.deadline {
                 if pass_no > 1 && start.elapsed() >= deadline {
                     return Err(SchedError::BudgetExhausted {
-                        budget: format!("deadline of {deadline:?}"),
+                        budget: Budget::Deadline(deadline),
                         latency,
                         passes: pass_no - 1,
                         restraints: last_restraints,
@@ -296,7 +296,7 @@ impl<'a> Scheduler<'a> {
             }
         }
         Err(SchedError::BudgetExhausted {
-            budget: format!("{} scheduling passes", self.config.max_passes),
+            budget: Budget::Passes(self.config.max_passes),
             latency,
             passes: self.config.max_passes,
             restraints: last_restraints,
@@ -538,11 +538,13 @@ mod tests {
         let err = Scheduler::new(&body, &lib, config).run().unwrap_err();
         match err {
             SchedError::BudgetExhausted {
+                budget,
                 passes,
                 restraints,
                 actions,
                 ..
             } => {
+                assert_eq!(budget, Budget::Passes(1));
                 assert_eq!(passes, 1);
                 assert!(!restraints.is_empty(), "last pass's restraints carried");
                 assert_eq!(actions.len(), 1, "the one applied action is reported");
@@ -565,7 +567,7 @@ mod tests {
                 restraints,
                 ..
             } => {
-                assert!(budget.contains("deadline"), "{budget}");
+                assert_eq!(budget, Budget::Deadline(std::time::Duration::ZERO));
                 assert_eq!(passes, 1, "one pass ran before the deadline check");
                 assert!(!restraints.is_empty());
             }

@@ -91,15 +91,16 @@ impl TechLibrary {
         self.ff_area_per_bit * f64::from(width)
     }
 
-    /// Delay of an `inputs`-way multiplexer of the given data width.
+    /// Delay of an `inputs`-way multiplexer of the given data width (the
+    /// fast cell, as [`TechLibrary::characterize`] reports it for
+    /// `ResourceType::mux(inputs, width)`, without building that type).
     pub fn mux_delay_ps(&self, inputs: u8, width: u16) -> f64 {
-        self.characterize(&ResourceType::mux(inputs, width))
-            .delay_ps
+        mux_reference(inputs, width).delay_ps * self.speed_derate
     }
 
     /// Area of an `inputs`-way multiplexer of the given data width.
     pub fn mux_area(&self, inputs: u8, width: u16) -> f64 {
-        self.characterize(&ResourceType::mux(inputs, width)).area
+        mux_reference(inputs, width).area
     }
 
     /// Characterization of the *fast* implementation of a resource type.
@@ -196,18 +197,7 @@ impl TechLibrary {
                 leakage_uw: 0.2 * lin_scale(w),
                 energy_fj: 90.0 * lin_scale(w),
             },
-            ResourceClass::Mux { inputs } => {
-                let n = f64::from((*inputs).max(2));
-                // Table 1: mux2 = 110 ps, mux3 = 115 ps. A tree of 2-input
-                // muxes adds ~5 ps per level beyond the first.
-                let levels = n.log2().ceil().max(1.0);
-                Characterization {
-                    delay_ps: 105.0 + 5.0 * levels,
-                    area: 6.0 * f64::from(rt.out_width.max(1)) * (n - 1.0),
-                    leakage_uw: 0.02 * f64::from(rt.out_width.max(1)) * (n - 1.0),
-                    energy_fj: 9.0 * f64::from(rt.out_width.max(1)) * (n - 1.0),
-                }
-            }
+            ResourceClass::Mux { inputs } => mux_reference(*inputs, rt.out_width),
             ResourceClass::Register => Characterization {
                 delay_ps: self.ff_clk_to_q_ps + self.ff_setup_ps,
                 area: self.ff_area_per_bit * f64::from(rt.out_width.max(1)),
@@ -255,6 +245,24 @@ impl TechLibrary {
             ("mux2".into(), self.mux_delay_ps(2, 32)),
             ("mux3".into(), self.mux_delay_ps(3, 32)),
         ]
+    }
+}
+
+/// The reference characterization of an `inputs`-way multiplexer whose
+/// data (and result) width is `width` — the one formula behind both
+/// [`TechLibrary::characterize`] of a `ResourceClass::Mux` type and the
+/// allocation-free [`TechLibrary::mux_delay_ps`] / [`TechLibrary::mux_area`].
+fn mux_reference(inputs: u8, width: u16) -> Characterization {
+    let n = f64::from(inputs.max(2));
+    let w = f64::from(width.max(1));
+    // Table 1: mux2 = 110 ps, mux3 = 115 ps. A tree of 2-input muxes adds
+    // ~5 ps per level beyond the first.
+    let levels = n.log2().ceil().max(1.0);
+    Characterization {
+        delay_ps: 105.0 + 5.0 * levels,
+        area: 6.0 * w * (n - 1.0),
+        leakage_uw: 0.02 * w * (n - 1.0),
+        energy_fj: 9.0 * w * (n - 1.0),
     }
 }
 
@@ -362,6 +370,27 @@ mod tests {
         assert!(lib.mux_delay_ps(3, 32) <= lib.mux_delay_ps(4, 32));
         assert!(lib.mux_delay_ps(4, 32) < lib.mux_delay_ps(8, 32));
         assert!(lib.mux_area(2, 32) < lib.mux_area(4, 32));
+    }
+
+    #[test]
+    fn mux_delay_matches_the_characterized_mux_type() {
+        for lib in [lib(), lib().derated(1.25)] {
+            for w in [1u16, 8, 16, 32, 64] {
+                for n in 0..=u8::MAX {
+                    let ty = ResourceType::mux(n, w);
+                    assert_eq!(
+                        lib.mux_delay_ps(n, w).to_bits(),
+                        lib.characterize(&ty).delay_ps.to_bits(),
+                        "mux{n} x {w}"
+                    );
+                    assert_eq!(
+                        lib.mux_area(n, w).to_bits(),
+                        lib.area(&ty).to_bits(),
+                        "mux{n} x {w}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -420,6 +420,20 @@ fn region_decomposition_is_bit_identical_across_targets() {
 }
 
 #[test]
+fn reordering_latency_walk_over_regions_is_bit_identical() {
+    // A 600-op filter pipelined at II=4 walks its latency from 5 to 38
+    // states. Mobility saturation lifts along the walk and reorders the
+    // priorities of several regions per added state; those regions resume
+    // from the first state whose ready lists can sort differently, which
+    // must reproduce the reference driver's from-scratch passes exactly.
+    let lib = TechLibrary::artisan_90nm_typical();
+    let body = synthetic_design(DesignClass::Filter, 600, 3);
+    let config = SchedulerConfig::pipelined(ClockConstraint::from_period_ps(2200.0), 4, 192)
+        .with_region_decomposition(150);
+    assert!(check("Filter/600/regions150/ii4", &body, &lib, config));
+}
+
+#[test]
 fn giant_scc_falls_back_to_a_single_region_with_no_overhead() {
     let body = giant_scc_design(24);
     let components = sccs(&body.dfg);
